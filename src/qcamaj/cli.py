@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success (and equivalent, where a verdict is the point),
-1 non-equivalent or not found, 2 usage or parse problems, 3 simulation
-failures (no convergence, undecided readout).
+1 non-equivalent or not found, 2 usage or parse problems (including
+expressions nested too deeply and non-finite sim parameters), 3
+simulation failures (no convergence, undecided readout).
 
 Both output modes carry the same data.  Text mode prints aligned
 summaries; records mode prints shell-quoted key=value lines, one line
@@ -185,7 +186,6 @@ def cmd_adders(args) -> tuple[RunReport, int]:
     for r in compare_adders():
         ok = ok and r.sum_ok and r.carry_ok
         report.add_row(design=r.name, **_cost_fields(r.cost),
-                       clocking=r.clocking,
                        sum="ok" if r.sum_ok else "FAIL",
                        carry="ok" if r.carry_ok else "FAIL")
     return report, 0 if ok else 1

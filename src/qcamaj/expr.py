@@ -156,7 +156,11 @@ def parse_expr(text: str, variable_names) -> Network:
         raise ValueError(f"duplicate variable names in {names}")
     builder = NetworkBuilder(len(names))
     parser = _Parser(_tokenize(text), names, builder, len(text))
-    root = parser.expr()
+    try:
+        root = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nests too deeply",
+                         parser.next_pos()) from None
     trailing = parser.peek()
     if trailing is not None:
         raise ParseError(f"trailing input {trailing.text!r}", trailing.pos)

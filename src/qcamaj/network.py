@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArityError, CapacityError
-from .truthtable import MAX_VARS, TruthTable
+from .truthtable import MAX_VARS, TruthTable, maj3, maj5, var_table
 
 INPUT = "input"
 CONST = "const"
@@ -164,19 +164,28 @@ def evaluate(net: Network, assignment) -> int:
 
 
 def truth_table(net: Network) -> TruthTable:
-    """Exhaustive truth table of the output.  Refuses networks with more
-    than eight inputs; 2**n rows stop being a sensible plan past that."""
+    """Exhaustive truth table of the output.  Each node is computed once,
+    as an int over all 2**n rows.  Refuses networks with more than eight
+    inputs; 2**n rows stop being a sensible plan past that."""
     if net.n_vars > MAX_VARS:
         raise CapacityError(
             f"truth tables cover at most {MAX_VARS} variables, "
             f"network has {net.n_vars}"
         )
     n = net.n_vars
-    bits = []
-    for index in range(1 << n):
-        assignment = [(index >> (n - 1 - i)) & 1 for i in range(n)]
-        bits.append(evaluate(net, assignment))
-    return TruthTable(n, tuple(bits))
+    mask = (1 << (1 << n)) - 1
+    values = []
+    for node in net.nodes:
+        if node.kind == INPUT:
+            values.append(var_table(n, node.args[0]))
+        elif node.kind == CONST:
+            values.append(mask if node.args[0] else 0)
+        elif node.kind == NOT:
+            values.append(values[node.args[0]] ^ mask)
+        else:
+            gate = maj3 if node.kind == MAJ3 else maj5
+            values.append(gate(*(values[c] for c in node.args)))
+    return TruthTable.from_int(n, values[net.output])
 
 
 def reachable(net: Network) -> set[int]:
@@ -263,9 +272,8 @@ def verify(net: Network, spec: TruthTable, names=None) -> VerifyReport:
             f"has {spec.n_vars}"
         )
     got = truth_table(net)
-    differing = frozenset(
-        i for i, (a, b) in enumerate(zip(got.bits, spec.bits)) if a != b
-    )
+    differing = TruthTable.from_int(
+        net.n_vars, got.to_int() ^ spec.to_int()).minterms()
     return VerifyReport(
         equivalent=not differing,
         differing_minterms=differing,

@@ -9,7 +9,7 @@ appear only on inputs; that loses no generality because inversion
 commutes with majority (push any interior inverter toward the leaves)
 and it keeps the candidate set closed.
 
-Truth tables are memoized as bit-vector integers and a gate that
+Truth tables are kept in the int form of truthtable.py, and a gate that
 reproduces a function already available in its chain is pruned, as are
 algebraically trivial operand multisets (a repeated majority operand
 beyond what a five-input pair exploits, both constants at once, or a
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .errors import CapacityError
 from .network import (CostReport, Network, NetworkBuilder, cost, format_expr,
                       to_text)
-from .truthtable import TruthTable, format_minterms
+from .truthtable import TruthTable, format_minterms, maj3, maj5, var_table
 
 SYNTH_MAX_VARS = 3
 
@@ -57,24 +57,6 @@ class SearchBudget:
             raise ValueError(f"max_levels must be >= 0, got {self.max_levels}")
 
 
-def _var_table(n: int, i: int) -> int:
-    t = 0
-    for k in range(1 << n):
-        if (k >> (n - 1 - i)) & 1:
-            t |= 1 << k
-    return t
-
-
-def _maj3(a: int, b: int, c: int) -> int:
-    return (a & b) | (a & c) | (b & c)
-
-
-def _maj5(a: int, b: int, c: int, d: int, e: int) -> int:
-    return ((a & b & c) | (a & b & d) | (a & b & e) | (a & c & d)
-            | (a & c & e) | (a & d & e) | (b & c & d) | (b & c & e)
-            | (b & d & e) | (c & d & e))
-
-
 class _Gate:
     __slots__ = ("children", "table", "depth", "is_maj5")
 
@@ -94,7 +76,7 @@ class _Searcher:
         self.mask = (1 << (1 << n_vars)) - 1
         # base candidates: const0, const1, inputs, negated inputs
         tables = [0, self.mask]
-        tables += [_var_table(n_vars, i) for i in range(n_vars)]
+        tables += [var_table(n_vars, i) for i in range(n_vars)]
         tables += [t ^ self.mask for t in tables[2:2 + n_vars]]
         self.base_tables = tables
         self.nbase = len(tables)
@@ -226,7 +208,7 @@ class _Searcher:
             for chain in states:
                 cand = self.base_tables + [g.table for g in chain]
                 have = set(cand)
-                for combos, fn, is5 in ((m3, _maj3, False), (m5, _maj5, True)):
+                for combos, fn, is5 in ((m3, maj3, False), (m5, maj5, True)):
                     for combo in combos:
                         t = fn(*(cand[x] for x in combo))
                         if t in have or t not in unsolved:
@@ -259,7 +241,7 @@ class _Searcher:
             cand = self.base_tables + [g.table for g in chain]
             have = set(cand)
             profile = tuple((g.table, g.depth) for g in chain)
-            for combos, fn, is5 in ((m3, _maj3, False), (m5, _maj5, True)):
+            for combos, fn, is5 in ((m3, maj3, False), (m5, maj5, True)):
                 for combo in combos:
                     t = fn(*(cand[x] for x in combo))
                     if t in have:
@@ -276,13 +258,6 @@ class _Searcher:
         return list(new_states.values())
 
 
-def _table_to_int(tt: TruthTable) -> int:
-    t = 0
-    for k, b in enumerate(tt.bits):
-        t |= b << k
-    return t
-
-
 def synthesize(spec: TruthTable, budget: SearchBudget | None = None):
     """Find a cheapest majority network for the table, or None.
 
@@ -297,7 +272,7 @@ def synthesize(spec: TruthTable, budget: SearchBudget | None = None):
         )
     budget = budget or SearchBudget()
     searcher = _Searcher(spec.n_vars, budget)
-    target = _table_to_int(spec)
+    target = spec.to_int()
     return searcher.run({target}).get(target)
 
 
@@ -321,7 +296,7 @@ def synthesize_all_3var(budget: SearchBudget | None = None) -> list[AtlasEntry]:
     solutions = searcher.run(set(range(256)))
     entries = []
     for t in range(256):
-        minterms = frozenset(k for k in range(8) if (t >> k) & 1)
+        minterms = TruthTable.from_int(3, t).minterms()
         net = solutions.get(t)
         entries.append(AtlasEntry(
             minterms=minterms,

@@ -5,6 +5,12 @@ Variable 0 supplies the most significant bit of the minterm index, so for
 three variables named A, B, C the index of an assignment is 4A + 2B + C.
 Every module in this package follows that convention, and verification
 reports repeat it so results stay attributable to an ordering.
+
+The same vector has an int form, whose bit k is the value at minterm k.
+TruthTable.to_int and TruthTable.from_int convert between the forms;
+var_table, maj3 and maj5 work on ints, so one bitwise operation
+evaluates a gate on every row at once.  No other module knows this
+encoding.
 """
 
 from __future__ import annotations
@@ -16,6 +22,13 @@ from typing import Iterable, Sequence
 from .errors import ArityError, MintermRangeError, ParseError
 
 MAX_VARS = 8
+
+
+def _check_n_vars(n_vars: int) -> None:
+    if not 1 <= n_vars <= MAX_VARS:
+        raise ValueError(
+            f"n_vars must be between 1 and {MAX_VARS}, got {n_vars}"
+        )
 
 
 @dataclass(frozen=True)
@@ -30,10 +43,7 @@ class TruthTable:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n_vars <= MAX_VARS:
-            raise ValueError(
-                f"n_vars must be between 1 and {MAX_VARS}, got {self.n_vars}"
-            )
+        _check_n_vars(self.n_vars)
         if len(self.bits) != 1 << self.n_vars:
             raise ValueError(
                 f"expected {1 << self.n_vars} bits for {self.n_vars} "
@@ -49,10 +59,7 @@ class TruthTable:
         Raises MintermRangeError naming the first offending index if any
         minterm falls outside 0 .. 2**n_vars - 1.
         """
-        if not 1 <= n_vars <= MAX_VARS:
-            raise ValueError(
-                f"n_vars must be between 1 and {MAX_VARS}, got {n_vars}"
-            )
+        _check_n_vars(n_vars)
         size = 1 << n_vars
         bits = [0] * size
         for m in minterms:
@@ -89,6 +96,39 @@ class TruthTable:
     def minterms(self) -> frozenset[int]:
         """Indices where the function is 1.  Inverse of from_minterms."""
         return frozenset(i for i, b in enumerate(self.bits) if b)
+
+    @classmethod
+    def from_int(cls, n_vars: int, table: int) -> "TruthTable":
+        """Table whose value at minterm k is bit k of `table`."""
+        _check_n_vars(n_vars)
+        size = 1 << n_vars
+        if not 0 <= table < 1 << size:
+            raise ValueError(f"table must lie in 0 .. 2**{size} - 1, got {table}")
+        return cls(n_vars, tuple((table >> k) & 1 for k in range(size)))
+
+    def to_int(self) -> int:
+        """Int form: bit k is the value at minterm k.  Inverse of from_int."""
+        return sum(b << k for k, b in enumerate(self.bits))
+
+
+def var_table(n_vars: int, i: int) -> int:
+    """Int form of variable i among n_vars: bit k is set where variable i
+    is 1 in minterm k."""
+    t = 0
+    for k in range(1 << n_vars):
+        if (k >> (n_vars - 1 - i)) & 1:
+            t |= 1 << k
+    return t
+
+
+def maj3(a: int, b: int, c: int) -> int:
+    return (a & b) | (a & c) | (b & c)
+
+
+def maj5(a: int, b: int, c: int, d: int, e: int) -> int:
+    return ((a & b & c) | (a & b & d) | (a & b & e) | (a & c & d)
+            | (a & c & e) | (a & d & e) | (b & c & d) | (b & c & e)
+            | (b & d & e) | (c & d & e))
 
 
 _SPEC_RE = re.compile(r"sum\((\d+(,\d+)*)?\)", re.IGNORECASE)

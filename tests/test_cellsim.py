@@ -30,7 +30,6 @@ from qcamaj.cellsim import (
     FACE_WEIGHT,
     FREE,
     OUTPUT,
-    grid_to_text,
     response,
 )
 from qcamaj.errors import ChargeError, ConvergenceError, UndecidedError
@@ -109,8 +108,15 @@ def test_grid_validation():
         CellGrid([Cell((0, 0)), Cell((1, 0))])              # no output
     with pytest.raises(ValueError):
         CellGrid([Cell((0, 0), OUTPUT), Cell((1, 0), OUTPUT)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cell 0: driver"):
         CellGrid([Cell((0, 0), DRIVER, 1.5), Cell((1, 0), OUTPUT)])
+    # the builders leave driver checks to CellGrid
+    with pytest.raises(ValueError, match="cell 0: driver"):
+        build_wire(3, 1.5)
+    with pytest.raises(ValueError, match="cell 1: driver"):
+        build_maj3(1.0, float("nan"), 1.0)
+    with pytest.raises(ValueError, match="cell 4: driver"):
+        build_maj5(1.0, 1.0, -1.0, 1.0, -1.5)
 
 
 def test_response_shape():
@@ -251,8 +257,9 @@ def test_odd_symmetry_for_arbitrary_drivers(ps):
 
 def test_relax_parameter_validation():
     grid = build_wire(3, 1.0)
-    with pytest.raises(ValueError):
-        relax(grid, tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            relax(grid, tol=tol)
     with pytest.raises(ValueError):
         relax(grid, max_iter=0)
 
@@ -275,11 +282,3 @@ def test_read_logic_threshold_band():
         read_logic(result, threshold=1.0)
     with pytest.raises(ValueError):
         read_logic(result, threshold=-0.1)
-
-
-def test_grid_text_lists_cells_and_drivers():
-    text = grid_to_text(build_maj3(1.0, -1.0, 1.0))
-    assert "role driver p +1" in text
-    assert "role driver p -1" in text
-    assert "role output" in text
-    assert len(text.strip().splitlines()) == 5

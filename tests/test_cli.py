@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, both output formats, scripting use."""
 
+import os
 import shlex
 import subprocess
 import sys
@@ -58,11 +59,22 @@ def test_parse_problems_exit_two(capsys):
         ["synth", "sum(1)", "--order", "A,A,B"],
         ["sim", "maj3", "10"],                  # wrong driver count
         ["sim", "blorp", "1"],                  # unknown gate
+        ["sim", "maj3", "101", "--tol", "nan"],  # non-finite tolerance
         [],                                     # no subcommand
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+
+
+def test_deeply_nested_expression_exits_two(capsys):
+    deep = "A"
+    for _ in range(1200):
+        deep = f"M({deep},B,C)"
+    code, out, err = run(capsys, "verify", deep, "sum(7)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qcamaj: error: expression nests too deeply")
 
 
 def test_simulation_failures_exit_three(capsys):
@@ -188,8 +200,11 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child process gets the import path this one has, so it runs the
+    # package under test whether or not it is installed
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "qcamaj", "verify", "M(A,B,1)", "sum(2,3,4,5,6,7)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "equivalent" in proc.stdout

@@ -1,6 +1,7 @@
 """Exact synthesis: optimality against an independent search, determinism,
 budget handling, and the full three-variable atlas."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -179,3 +180,10 @@ def test_atlas_text_rendering(atlas):
     assert len(lines) == 256
     assert "sum()" in lines[0]
     assert "sum(0,1,2,3,4,5,6,7)" in lines[-1]
+
+
+def test_atlas_text_is_frozen(atlas):
+    # pins every expression and the tie-break, not just the costs
+    text = atlas_to_text(atlas)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4a59198453123de89034ace5e485d365223889cbbcb069cb921a0986866cfc08")

@@ -107,11 +107,29 @@ def test_format_minterms_sorted():
     assert format_minterms(set()) == "sum()"
 
 
-@given(st.integers(1, 8).flatmap(
-    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1)))))
+# (n_vars, minterm set) pairs over every supported width
+TABLES = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1))))
+
+
+@given(TABLES)
 def test_spec_text_round_trip(case):
     n, ms = case
     tt = TruthTable.from_minterms(n, ms)
     text = format_minterms(tt.minterms())
     assert parse_minterm_spec(text) == frozenset(ms)
     assert TruthTable.from_minterms(n, parse_minterm_spec(text)) == tt
+
+
+@given(TABLES)
+def test_int_form_round_trip(case):
+    n, ms = case
+    tt = TruthTable.from_minterms(n, ms)
+    assert tt.to_int() == sum(1 << m for m in ms)
+    assert TruthTable.from_int(n, tt.to_int()) == tt
+
+
+def test_from_int_rejects_tables_that_do_not_fit():
+    for n_vars, table in ((3, 256), (3, -1), (9, 0)):
+        with pytest.raises(ValueError):
+            TruthTable.from_int(n_vars, table)
