@@ -146,18 +146,3 @@ def compare_adders() -> list[AdderRow]:
                              truth_table(design.carry_net) == carry_spec))
     return rows
 
-
-def adders_report_text(rows) -> str:
-    """Aligned comparison table."""
-    header = (f"{'design':<20} {'maj3':>4} {'maj5':>4} {'inv':>4} "
-              f"{'gates':>5} {'levels':>6} {'sum':>5} {'carry':>5}")
-    lines = [header]
-    for r in rows:
-        c = r.cost
-        lines.append(
-            f"{r.name:<20} {c.maj3_count:>4} {c.maj5_count:>4} "
-            f"{c.inverter_count:>4} {c.gate_count:>5} {c.levels:>6} "
-            f"{'ok' if r.sum_ok else 'FAIL':>5} "
-            f"{'ok' if r.carry_ok else 'FAIL':>5}"
-        )
-    return "\n".join(lines) + "\n"

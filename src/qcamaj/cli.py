@@ -96,6 +96,11 @@ def _budget(args) -> SearchBudget:
                         allow_maj5=not args.no_maj5)
 
 
+def _budget_text(budget: SearchBudget) -> str:
+    return (f"max_gates={budget.max_gates} max_levels={budget.max_levels} "
+            f"maj5={'on' if budget.allow_maj5 else 'off'}")
+
+
 def cmd_verify(args) -> tuple[RunReport, int]:
     names = _names(args)
     net = parse_expr(args.expression, names)
@@ -119,9 +124,7 @@ def cmd_synth(args) -> tuple[RunReport, int]:
     report = RunReport("synth")
     report.add("target", format_minterms(spec.minterms()))
     report.add("ordering", order_note(len(names), names))
-    report.add("budget", f"max_gates={budget.max_gates} "
-                         f"max_levels={budget.max_levels} "
-                         f"maj5={'on' if budget.allow_maj5 else 'off'}")
+    report.add("budget", _budget_text(budget))
     net = synthesize(spec, budget)
     if net is None:
         report.add("result", "not found within budget")
@@ -141,9 +144,7 @@ def cmd_atlas(args) -> tuple[RunReport, int]:
     entries = synthesize_all_3var(budget)
     report = RunReport("atlas")
     report.add("ordering", order_note(3))
-    report.add("budget", f"max_gates={budget.max_gates} "
-                         f"max_levels={budget.max_levels} "
-                         f"maj5={'on' if budget.allow_maj5 else 'off'}")
+    report.add("budget", _budget_text(budget))
     solved = sum(1 for e in entries if e.network is not None)
     report.add("synthesized", f"{solved}/{len(entries)}")
     for e in entries:

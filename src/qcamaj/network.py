@@ -302,18 +302,20 @@ def format_expr(net: Network, names=None) -> str:
             f"got {len(names)} names for {net.n_vars} variables"
         )
 
-    def render(i: int) -> str:
+    # children precede parents, so index order renders bottom up
+    text: dict[int, str] = {}
+    for i in sorted(reachable(net)):
         node = net.nodes[i]
         if node.kind == INPUT:
-            return names[node.args[0]]
-        if node.kind == CONST:
-            return str(node.args[0])
-        if node.kind == NOT:
-            return render(node.args[0]) + "'"
-        label = "M" if node.kind == MAJ3 else "M5"
-        return label + "(" + ",".join(render(c) for c in node.args) + ")"
-
-    return render(net.output)
+            text[i] = names[node.args[0]]
+        elif node.kind == CONST:
+            text[i] = str(node.args[0])
+        elif node.kind == NOT:
+            text[i] = text[node.args[0]] + "'"
+        else:
+            label = "M" if node.kind == MAJ3 else "M5"
+            text[i] = label + "(" + ",".join(text[c] for c in node.args) + ")"
+    return text[net.output]
 
 
 def to_text(net: Network) -> str:

@@ -1,23 +1,27 @@
 """Bounded exact synthesis of majority networks for up to three variables.
 
 The search deepens iteratively on the number of majority gates.  A state
-is the set of functions (with their depths) computed by gates built so
-far; expanding a state tries every admissible majority gate over the
-closed candidate set, which holds the constants, the literals in both
-polarities, and every gate already in the chain.  Inverters therefore
-appear only on inputs; that loses no generality because inversion
-commutes with majority (push any interior inverter toward the leaves)
-and it keeps the candidate set closed.
+is a chain of gates; a gate's operands come from the closed candidate
+set, which holds the constants, the literals in both polarities, and
+every gate already in the chain.  Inverters therefore appear only on
+inputs; that loses no generality because inversion commutes with
+majority (push any interior inverter toward the leaves) and it keeps the
+candidate set closed.
 
-Truth tables are kept in the int form of truthtable.py, and a gate that
-reproduces a function already available in its chain is pruned, as are
-algebraically trivial operand multisets (a repeated majority operand
-beyond what a five-input pair exploits, both constants at once, or a
-complementary literal pair).
+Each level makes one pass with one gate enumerator, _gates.  It first
+scans every state for gates whose table is still unsolved, then grows
+every state by each gate that computes a function new to its chain,
+keeping the first chain per (table, depth) profile.  Both uses skip
+gates deeper than max_levels.  Truth tables are kept in the int form of
+truthtable.py, and algebraically trivial operand multisets are never
+tried (a repeated majority operand beyond what a five-input pair
+exploits, both constants at once, or a complementary literal pair).
 
 Among the networks that realize a target with the fewest majority gates,
 the result minimizes (gate_count, levels, inverter_count) and finally the
-serialized text, so repeated runs return byte-identical answers.  An
+serialized text: each level keeps (key, network, text) per table, and a
+candidate's network is built only when its key ties or beats the
+incumbent's.  Repeated runs therefore return byte-identical answers.  An
 exhaustive check over all 256 three-variable functions confirms that no
 network inside the default budget beats the returned one on that cost
 tuple at a deeper level either.  A target that cannot be reached inside
@@ -81,7 +85,6 @@ class _Searcher:
         self.base_tables = tables
         self.nbase = len(tables)
         self.neg_range = range(2 + n_vars, 2 + 2 * n_vars)
-        self._combo_cache: dict[int, tuple[list, list]] = {}
 
     # ---- candidate enumeration -----------------------------------------
 
@@ -95,9 +98,6 @@ class _Searcher:
 
     def _combos(self, ncand: int):
         """Admissible operand index tuples over ncand candidates."""
-        cached = self._combo_cache.get(ncand)
-        if cached is not None:
-            return cached
         m3 = [c for c in itertools.combinations(range(ncand), 3)
               if not self._bad_multiset(set(c))]
         m5 = []
@@ -112,80 +112,64 @@ class _Searcher:
                 for c in itertools.combinations(rest, 3):
                     if not self._bad_multiset(set(c) | {p}):
                         m5.append((p, p) + c)
-        self._combo_cache[ncand] = (m3, m5)
         return m3, m5
+
+    def _gates(self, chain, m3, m5, wanted):
+        """Gates over the chain's candidates whose table is new to the
+        chain, in `wanted`, and within max_levels."""
+        cand = self.base_tables + [g.table for g in chain]
+        have = set(cand)
+        nbase = self.nbase
+        max_levels = self.budget.max_levels
+        for combos, fn, is5 in ((m3, maj3, False), (m5, maj5, True)):
+            for combo in combos:
+                t = fn(*(cand[x] for x in combo))
+                if t in have or t not in wanted:
+                    continue
+                depth = 1 + max(
+                    (chain[x - nbase].depth if x >= nbase else 0)
+                    for x in combo
+                )
+                if depth <= max_levels:
+                    yield _Gate(combo, t, depth, is5)
 
     # ---- solution bookkeeping ------------------------------------------
 
-    def _cone(self, chain, gate):
-        """Gate indices and literal indices reachable from `gate`."""
+    def _cone(self, chain, root: int):
+        """Chain positions and literal indices reachable from candidate
+        index `root`."""
         gates: set[int] = set()
         lits: set[int] = set()
-        stack = [gate]
+        stack = [root]
         while stack:
-            g = stack.pop()
-            for ci in g.children:
-                if ci >= self.nbase:
-                    j = ci - self.nbase
-                    if j not in gates:
-                        gates.add(j)
-                        stack.append(chain[j])
-                else:
-                    lits.add(ci)
+            ci = stack.pop()
+            if ci < self.nbase:
+                lits.add(ci)
+            elif ci - self.nbase not in gates:
+                gates.add(ci - self.nbase)
+                stack.extend(chain[ci - self.nbase].children)
         return gates, lits
 
-    def _reconstruct(self, chain, gate, cone_gates) -> Network:
+    def _network(self, chain, root: int) -> Network:
+        """The cone of candidate index `root` as a Network."""
         b = NetworkBuilder(self.n)
-        gate_ids: dict[int, int] = {}
+        ids: dict[int, int] = {}
 
         def resolve(ci: int) -> int:
             if ci >= self.nbase:
-                return gate_ids[ci - self.nbase]
-            if ci == 0:
-                return b.const(0)
-            if ci == 1:
-                return b.const(1)
+                return ids[ci]
+            if ci in (0, 1):
+                return b.const(ci)
             if ci in self.neg_range:
                 return b.invert(b.input(ci - 2 - self.n))
             return b.input(ci - 2)
 
-        def emit(g) -> int:
+        for j in sorted(self._cone(chain, root)[0]):
+            g = chain[j]
             children = [resolve(ci) for ci in g.children]
-            return b.maj5(*children) if g.is_maj5 else b.maj3(*children)
-
-        for j in sorted(cone_gates):
-            gate_ids[j] = emit(chain[j])
-        return b.build(emit(gate))
-
-    def _base_network(self, idx: int) -> Network:
-        b = NetworkBuilder(self.n)
-        if idx in (0, 1):
-            root = b.const(idx)
-        elif idx in self.neg_range:
-            root = b.invert(b.input(idx - 2 - self.n))
-        else:
-            root = b.input(idx - 2)
-        return b.build(root)
-
-    def _offer(self, best: dict, table: int, key, chain, gate):
-        """Keep the candidate if it beats the incumbent on the cost key,
-        with serialized text as the deterministic final tie-break."""
-        cur = best.get(table)
-        if cur is None or key < cur[0]:
-            best[table] = (key, chain, gate, None)
-            return
-        if key > cur[0]:
-            return
-        new_net = self._solution_network(chain, gate)
-        cur_net = cur[3] or self._solution_network(cur[1], cur[2])
-        if to_text(new_net) < to_text(cur_net):
-            best[table] = (key, chain, gate, new_net)
-        else:
-            best[table] = (cur[0], cur[1], cur[2], cur_net)
-
-    def _solution_network(self, chain, gate) -> Network:
-        cone_gates, _ = self._cone(chain, gate)
-        return self._reconstruct(chain, gate, cone_gates)
+            ids[self.nbase + j] = (b.maj5(*children) if g.is_maj5
+                                   else b.maj3(*children))
+        return b.build(resolve(root))
 
     # ---- the search ------------------------------------------------------
 
@@ -196,66 +180,46 @@ class _Searcher:
         # depth 0: constants and literals (their tables are all distinct)
         for idx, t in enumerate(self.base_tables):
             if t in unsolved:
-                solutions[t] = self._base_network(idx)
+                solutions[t] = self._network((), idx)
         unsolved -= solutions.keys()
         if not unsolved:
             return solutions
 
         states: list[tuple] = [()]       # chains of _Gate, level 0
+        every_table = range(self.mask + 1)
         for level in range(1, self.budget.max_gates + 1):
             m3, m5 = self._combos(self.nbase + level - 1)
-            best = {}
+            root = self.nbase + level - 1
+            best: dict[int, tuple] = {}     # table -> (key, net, text)
             for chain in states:
-                cand = self.base_tables + [g.table for g in chain]
-                have = set(cand)
-                for combos, fn, is5 in ((m3, maj3, False), (m5, maj5, True)):
-                    for combo in combos:
-                        t = fn(*(cand[x] for x in combo))
-                        if t in have or t not in unsolved:
-                            continue
-                        depth = 1 + max(
-                            (chain[x - self.nbase].depth
-                             if x >= self.nbase else 0)
-                            for x in combo
-                        )
-                        if depth > self.budget.max_levels:
-                            continue
-                        gate = _Gate(combo, t, depth, is5)
-                        _, lits = self._cone(chain, gate)
-                        ninv = sum(1 for l in lits if l in self.neg_range)
-                        key = (level + ninv, depth, ninv)
-                        self._offer(best, t, key, chain, gate)
-            for t, (_, chain, gate, net) in best.items():
-                solutions[t] = net or self._solution_network(chain, gate)
+                for gate in self._gates(chain, m3, m5, unsolved):
+                    grown = chain + (gate,)
+                    ninv = sum(1 for l in self._cone(grown, root)[1]
+                               if l in self.neg_range)
+                    key = (level + ninv, gate.depth, ninv)
+                    cur = best.get(gate.table)
+                    if cur is not None and key > cur[0]:
+                        continue
+                    net = self._network(grown, root)
+                    text = to_text(net)
+                    if cur is None or key < cur[0] or text < cur[2]:
+                        best[gate.table] = (key, net, text)
+            for t, (_, net, _) in best.items():
+                solutions[t] = net
             unsolved -= best.keys()
             if not unsolved or level == self.budget.max_gates:
                 break
-            states = self._expand(states, level)
+            # grow every chain by one new-function gate; the first chain
+            # per (table, depth) profile stands for all of them
+            grown_states: dict = {}
+            for chain in states:
+                profile = tuple((g.table, g.depth) for g in chain)
+                for gate in self._gates(chain, m3, m5, every_table):
+                    key = frozenset(profile + ((gate.table, gate.depth),))
+                    if key not in grown_states:
+                        grown_states[key] = chain + (gate,)
+            states = list(grown_states.values())
         return solutions
-
-    def _expand(self, states, level):
-        """Grow every chain by one admissible new-function gate."""
-        m3, m5 = self._combos(self.nbase + level - 1)
-        new_states: dict = {}
-        for chain in states:
-            cand = self.base_tables + [g.table for g in chain]
-            have = set(cand)
-            profile = tuple((g.table, g.depth) for g in chain)
-            for combos, fn, is5 in ((m3, maj3, False), (m5, maj5, True)):
-                for combo in combos:
-                    t = fn(*(cand[x] for x in combo))
-                    if t in have:
-                        continue
-                    depth = 1 + max(
-                        (chain[x - self.nbase].depth if x >= self.nbase else 0)
-                        for x in combo
-                    )
-                    if depth > self.budget.max_levels:
-                        continue
-                    key = frozenset(profile + ((t, depth),))
-                    if key not in new_states:
-                        new_states[key] = chain + (_Gate(combo, t, depth, is5),)
-        return list(new_states.values())
 
 
 def synthesize(spec: TruthTable, budget: SearchBudget | None = None):

@@ -113,12 +113,11 @@ class TruthTable:
 
 def var_table(n_vars: int, i: int) -> int:
     """Int form of variable i among n_vars: bit k is set where variable i
-    is 1 in minterm k."""
-    t = 0
-    for k in range(1 << n_vars):
-        if (k >> (n_vars - 1 - i)) & 1:
-            t |= 1 << k
-    return t
+    is 1 in minterm k.  That is blocks of `run` zeros then `run` ones,
+    repeated over all 2^n_vars bits."""
+    run = 1 << (n_vars - 1 - i)
+    block = ((1 << run) - 1) << run
+    return ((1 << (1 << n_vars)) - 1) // ((1 << 2 * run) - 1) * block
 
 
 def maj3(a: int, b: int, c: int) -> int:

@@ -15,7 +15,7 @@ from qcamaj import (
     truth_table,
     verify,
 )
-from qcamaj.adders import ADDER_VARS, ALL_ADDERS, adders_report_text
+from qcamaj.adders import ADDER_VARS, ALL_ADDERS
 
 import _oracles
 
@@ -67,13 +67,6 @@ def test_compare_adders_report():
     first = rows[0].cost
     for other in rows[1:]:
         assert first.gate_count < other.cost.gate_count
-
-
-def test_report_text_lists_every_design():
-    text = adders_report_text(compare_adders())
-    for name in ("single-maj5", "three-gate", "classic", "classic-simplified"):
-        assert name in text
-    assert "FAIL" not in text
 
 
 def test_table_rows_are_verbatim():

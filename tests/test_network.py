@@ -173,6 +173,16 @@ def test_truth_table_capacity_ceiling():
         truth_table(net)
 
 
+def test_format_expr_renders_deep_chain_without_recursion():
+    b = NetworkBuilder(3)
+    node, bb, cc = b.input(0), b.input(1), b.input(2)
+    for _ in range(3000):
+        node = b.maj3(node, bb, cc)
+    text = format_expr(b.build(node))
+    assert len(text) == 21001
+    assert text == "M(" * 3000 + "A" + ",B,C)" * 3000
+
+
 def test_text_round_trip_preserves_structure():
     net = parse_expr("M5(M(A,B,C)',M5(A,A,B,C,1),A,B,C)", NAMES)
     again = from_text(to_text(net))

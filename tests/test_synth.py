@@ -32,6 +32,12 @@ def atlas():
 
 
 @pytest.fixture(scope="module")
+def no_maj5_atlas():
+    return synthesize_all_3var(
+        SearchBudget(max_gates=4, max_levels=4, allow_maj5=False))
+
+
+@pytest.fixture(scope="module")
 def oracle_counts():
     return _oracles.min_majority_counts(allow_maj5=True)
 
@@ -131,9 +137,8 @@ def test_level_budget_prunes_deep_solutions():
     assert synthesize(parity, SearchBudget(max_gates=2, max_levels=1)) is None
 
 
-def test_no_maj5_atlas_matches_independent_search():
-    budget = SearchBudget(max_gates=4, max_levels=4, allow_maj5=False)
-    entries = synthesize_all_3var(budget)
+def test_no_maj5_atlas_matches_independent_search(no_maj5_atlas):
+    entries = no_maj5_atlas
     counts = _oracles.min_majority_counts(allow_maj5=False, max_gates=4)
     dist = Counter()
     for e in entries:
@@ -187,3 +192,17 @@ def test_atlas_text_is_frozen(atlas):
     text = atlas_to_text(atlas)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4a59198453123de89034ace5e485d365223889cbbcb069cb921a0986866cfc08")
+
+
+def test_atlas_text_is_frozen_under_two_gates():
+    # a budget that leaves most functions unsynthesizable
+    text = atlas_to_text(synthesize_all_3var(SearchBudget(max_gates=2)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "670a33b22ee52c643c5d520f6f94dd32198f2c91604daaca2085ae18213f757f")
+
+
+def test_no_maj5_atlas_text_is_frozen(no_maj5_atlas):
+    # pins the maj3-only tie-break
+    text = atlas_to_text(no_maj5_atlas)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d9426cc91f4be7ec699f6ae30d58861795e6ae0f5d81cb058fd1e7789941e5f3")

@@ -12,6 +12,7 @@ from qcamaj import (
     parse_minterm_spec,
 )
 from qcamaj.errors import ParseError
+from qcamaj.truthtable import var_table
 
 
 def test_variable_zero_is_most_significant_bit():
@@ -133,3 +134,11 @@ def test_from_int_rejects_tables_that_do_not_fit():
     for n_vars, table in ((3, 256), (3, -1), (9, 0)):
         with pytest.raises(ValueError):
             TruthTable.from_int(n_vars, table)
+
+
+def test_var_table_sets_the_minterms_where_the_variable_is_one():
+    for n_vars in range(1, 9):
+        for i in range(n_vars):
+            expected = sum(1 << k for k in range(1 << n_vars)
+                           if (k >> (n_vars - 1 - i)) & 1)
+            assert var_table(n_vars, i) == expected, (n_vars, i)

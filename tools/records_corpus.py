@@ -1,0 +1,59 @@
+"""Print the records corpus: the fixed command set whose output must not change.
+
+Runs each command in-process through qcamaj.cli.main with --format records,
+strips the elapsed_ms field, and prints "$ <argv> -> <exit code>" followed by
+the records.  Uses the package under src/ next to this script, so two
+checkouts compare with
+
+    python3 tools/records_corpus.py > a.txt     # in one checkout
+    python3 tools/records_corpus.py > b.txt     # in the other
+    diff a.txt b.txt
+
+Stdlib only; the five atlas budgets make it take about 40 s.
+"""
+
+import contextlib
+import io
+import itertools
+import re
+import shlex
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qcamaj.cli import main  # noqa: E402
+
+BUDGETS = [
+    [],
+    ["--max-gates", "2"],
+    ["--max-levels", "2", "--max-gates", "4"],
+    ["--no-maj5", "--max-levels", "3", "--max-gates", "4"],
+    ["--no-maj5", "--max-gates", "5", "--max-levels", "5"],
+]
+SIM_ARITY = {"wire": 1, "inverter": 1, "maj3": 3, "maj5": 5}
+
+
+def commands():
+    for budget in BUDGETS:
+        yield ["atlas"] + budget
+    for spec in ("sum(1,6)", "sum(0,7)", "sum(1,2,4,7)"):
+        yield ["synth", spec]
+    yield ["audit-tables"]
+    yield ["adders"]
+    for gate, arity in SIM_ARITY.items():
+        for bits in itertools.product("01", repeat=arity):
+            yield ["sim", gate, "".join(bits)]
+
+
+def main_corpus() -> None:
+    for argv in commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--format", "records"])
+        print(f"$ {shlex.join(argv)} -> {code}")
+        sys.stdout.write(re.sub(r" elapsed_ms=\S+", "", out.getvalue()))
+
+
+if __name__ == "__main__":
+    main_corpus()
