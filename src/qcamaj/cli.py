@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (and equivalent, where a verdict is the point),
 1 non-equivalent or not found, 2 usage or parse problems (including
-expressions nested too deeply and non-finite sim parameters), 3
-simulation failures (no convergence, undecided readout).
+non-finite sim parameters), 3 simulation failures (no convergence,
+undecided readout).
 
 Both output modes carry the same data.  Text mode prints aligned
 summaries; records mode prints shell-quoted key=value lines, one line
@@ -22,8 +22,7 @@ from . import __version__
 from .adders import audit_entries, compare_adders
 from .cellsim import (build_inverter, build_maj3, build_maj5, build_wire,
                       read_logic, relax)
-from .errors import (ArityError, CapacityError, ChargeError, ConvergenceError,
-                     MintermRangeError, ParseError, UndecidedError)
+from .errors import ConvergenceError, UndecidedError
 from .expr import parse_expr
 from .network import cost, format_expr, order_note, truth_table, verify
 from .synth import SearchBudget, synthesize, synthesize_all_3var
@@ -248,10 +247,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             "significant first (default A,B,C)")
 
     def budget(p):
-        p.add_argument("--max-gates", type=int, default=4,
-                       help="majority-gate ceiling (default 4)")
-        p.add_argument("--max-levels", type=int, default=3,
-                       help="majority-depth ceiling (default 3)")
+        p.add_argument("--max-gates", type=int,
+                       default=SearchBudget.max_gates,
+                       help="majority-gate ceiling (default %(default)s)")
+        p.add_argument("--max-levels", type=int,
+                       default=SearchBudget.max_levels,
+                       help="majority-depth ceiling (default %(default)s)")
         p.add_argument("--no-maj5", action="store_true",
                        help="restrict the search to three-input gates")
 
@@ -309,8 +310,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report, code = args.func(args)
-    except (ParseError, MintermRangeError, ArityError, CapacityError,
-            ChargeError, ValueError) as e:
+    except ValueError as e:     # every usage and parse error type
         print(f"qcamaj: error: {e}", file=sys.stderr)
         return 2
     except (ConvergenceError, UndecidedError) as e:

@@ -18,6 +18,7 @@ from .errors import ParseError, UnknownVariableError
 from .network import Network, NetworkBuilder
 
 _SYMBOLS = "(),'"
+_ARITY = {"M": 3, "M5": 5}
 
 
 class _Token:
@@ -58,89 +59,67 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], names: list[str],
-                 builder: NetworkBuilder, length: int):
-        self.tokens = tokens
-        self.names = names
-        self.builder = builder
-        self.end = length
-        self.i = 0
+def _parse(tokens: list[_Token], names: list[str], builder: NetworkBuilder,
+           end: int) -> int:
+    """The root node of the token list; open gates wait on an explicit
+    stack of (gate token, arity, children), so nesting costs no frames."""
+    stack: list[tuple[_Token, int, list[int]]] = []
+    i = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def take() -> _Token:
+        nonlocal i
+        if i == len(tokens):
+            raise ParseError("unexpected end of expression", end)
+        i += 1
+        return tokens[i - 1]
 
-    def next_pos(self) -> int:
-        tok = self.peek()
-        return tok.pos if tok else self.end
-
-    def consume(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.end)
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.consume()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.pos)
-        return tok
-
-    def expr(self) -> int:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.text != "'":
-                return node
-            self.consume()
-            node = self.builder.invert(node)
-
-    def term(self) -> int:
-        tok = self.consume()
+    while True:
+        # one operand: a constant, a variable, or an opening gate
+        tok = take()
         if tok.text in ("0", "1"):
-            return self.builder.const(int(tok.text))
-        if tok.text.isdigit():
+            node = builder.const(int(tok.text))
+        elif tok.text.isdigit():
             raise ParseError(f"constants are 0 or 1, found {tok.text!r}",
                              tok.pos)
-        if tok.text in _SYMBOLS:
+        elif tok.text in _SYMBOLS:
             raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        nxt = self.peek()
-        if nxt is not None and nxt.text == "(":
-            return self.gate(tok)
-        if tok.text in self.names:
-            return self.builder.input(self.names.index(tok.text))
-        raise UnknownVariableError(
-            f"unknown variable {tok.text!r}, declared: {','.join(self.names)}",
-            tok.pos,
-        )
-
-    def gate(self, tok: _Token) -> int:
-        name = tok.text.upper()
-        if name == "M":
-            arity = 3
-        elif name == "M5":
-            arity = 5
+        elif i < len(tokens) and tokens[i].text == "(":
+            arity = _ARITY.get(tok.text.upper())
+            if arity is None:
+                raise ParseError(
+                    f"unknown gate {tok.text!r}, expected M or M5", tok.pos)
+            i += 1
+            stack.append((tok, arity, []))
+            continue
+        elif tok.text in names:
+            node = builder.input(names.index(tok.text))
         else:
-            raise ParseError(f"unknown gate {tok.text!r}, expected M or M5",
-                             tok.pos)
-        self.expect("(")
-        children = [self.expr()]
+            raise UnknownVariableError(
+                f"unknown variable {tok.text!r}, "
+                f"declared: {','.join(names)}", tok.pos)
+        # its complements, then every gate it closes
         while True:
-            sep = self.consume()
-            if sep.text == ")":
+            while i < len(tokens) and tokens[i].text == "'":
+                i += 1
+                node = builder.invert(node)
+            if not stack:
+                if i < len(tokens):
+                    raise ParseError(f"trailing input {tokens[i].text!r}",
+                                     tokens[i].pos)
+                return node
+            sep = take()
+            gate, arity, children = stack[-1]
+            children.append(node)
+            if sep.text == ",":
                 break
-            if sep.text != ",":
+            if sep.text != ")":
                 raise ParseError(f"expected ',' or ')', found {sep.text!r}",
                                  sep.pos)
-            children.append(self.expr())
-        if len(children) != arity:
-            raise ParseError(
-                f"{name} takes {arity} operands, got {len(children)}", tok.pos
-            )
-        if arity == 3:
-            return self.builder.maj3(*children)
-        return self.builder.maj5(*children)
+            stack.pop()
+            if len(children) != arity:
+                raise ParseError(f"{gate.text.upper()} takes {arity} "
+                                 f"operands, got {len(children)}", gate.pos)
+            node = (builder.maj3 if arity == 3 else builder.maj5)(*children)
 
 
 def parse_expr(text: str, variable_names) -> Network:
@@ -155,13 +134,4 @@ def parse_expr(text: str, variable_names) -> Network:
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
     builder = NetworkBuilder(len(names))
-    parser = _Parser(_tokenize(text), names, builder, len(text))
-    try:
-        root = parser.expr()
-    except RecursionError:
-        raise ParseError("expression nests too deeply",
-                         parser.next_pos()) from None
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(f"trailing input {trailing.text!r}", trailing.pos)
-    return builder.build(root)
+    return builder.build(_parse(_tokenize(text), names, builder, len(text)))

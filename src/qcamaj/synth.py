@@ -12,10 +12,12 @@ Each level makes one pass with one gate enumerator, _gates.  It first
 scans every state for gates whose table is still unsolved, then grows
 every state by each gate that computes a function new to its chain,
 keeping the first chain per (table, depth) profile.  Both uses skip
-gates deeper than max_levels.  Truth tables are kept in the int form of
-truthtable.py, and algebraically trivial operand multisets are never
-tried (a repeated majority operand beyond what a five-input pair
-exploits, both constants at once, or a complementary literal pair).
+gates deeper than max_levels, and the levels stop at the most gates a
+cone of max_levels depth can hold, so a tight level budget ends the
+search early.  Truth tables are kept in the int form of truthtable.py,
+and algebraically trivial operand multisets are never tried (a repeated
+majority operand beyond what a five-input pair exploits, both constants
+at once, or a complementary literal pair).
 
 Among the networks that realize a target with the fewest majority gates,
 the result minimizes (gate_count, levels, inverter_count) and finally the
@@ -185,9 +187,20 @@ class _Searcher:
         if not unsolved:
             return solutions
 
+        # an answer first found at level k has all k gates in its cone
+        # (else the cone alone solves it sooner), and a cone of depth
+        # max_levels holds at most 1 + f + ... + f^(max_levels-1) gates
+        fan_in = 5 if self.budget.allow_maj5 else 3
+        top, width = 0, 1
+        for _ in range(self.budget.max_levels):
+            if top >= self.budget.max_gates:
+                break
+            top, width = top + width, width * fan_in
+        top = min(top, self.budget.max_gates)
+
         states: list[tuple] = [()]       # chains of _Gate, level 0
         every_table = range(self.mask + 1)
-        for level in range(1, self.budget.max_gates + 1):
+        for level in range(1, top + 1):
             m3, m5 = self._combos(self.nbase + level - 1)
             root = self.nbase + level - 1
             best: dict[int, tuple] = {}     # table -> (key, net, text)
@@ -207,7 +220,7 @@ class _Searcher:
             for t, (_, net, _) in best.items():
                 solutions[t] = net
             unsolved -= best.keys()
-            if not unsolved or level == self.budget.max_gates:
+            if not unsolved or level == top:
                 break
             # grow every chain by one new-function gate; the first chain
             # per (table, depth) profile stands for all of them

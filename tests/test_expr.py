@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcamaj import parse_expr, format_expr, truth_table
 from qcamaj.errors import ParseError, UnknownVariableError
@@ -81,6 +82,48 @@ def test_malformed_text_raises_with_position():
         with pytest.raises(ParseError) as exc:
             parse_expr(text, NAMES)
         assert exc.value.position == pos, text
+
+
+def test_deep_nesting_parses_without_recursion():
+    n = 20000
+    net = parse_expr("M(" * n + "A" + ",B,C)" * n, NAMES)
+    assert len(net.nodes) == n + 3
+    assert truth_table(net).minterms() == frozenset({3, 5, 6, 7})
+
+
+# tokens and characters the tokenizer treats differently: gate names,
+# symbols, declared and undeclared names, constants, a bad digit, a
+# non-ASCII letter and a numeric character that is not a digit
+FUZZ_PIECES = ["M", "M5", "m", "(", ")", ",", "'", "A", "B", "C", "D",
+               "0", "1", "2", "_", "\u00e9", "\u00bd", " ", "\t", "\n"]
+
+
+@given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=30).map("".join))
+def test_arbitrary_text_parses_or_raises_parse_error(text):
+    try:
+        parse_expr(text, NAMES)
+    except ParseError as e:
+        assert 0 <= e.position <= len(text)
+
+
+# each gate level adds at least two leaves, so 11 leaves nest gates at
+# most five deep
+WELL_FORMED = st.recursive(
+    st.sampled_from(["A", "B", "C", "0", "1"]),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=3, max_size=3).map(
+            lambda xs: "M(" + ",".join(xs) + ")"),
+        st.lists(inner, min_size=5, max_size=5).map(
+            lambda xs: "M5(" + ",".join(xs) + ")"),
+        inner.map(lambda x: x + "'"),
+    ),
+    max_leaves=11,
+)
+
+
+@given(WELL_FORMED)
+def test_well_formed_text_agrees_with_independent_evaluator(text):
+    assert minterms(text) == _oracles.minterms_of_expr(text, NAMES)
 
 
 def test_duplicate_or_empty_variable_names_rejected():

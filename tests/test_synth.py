@@ -137,6 +137,24 @@ def test_level_budget_prunes_deep_solutions():
     assert synthesize(parity, SearchBudget(max_gates=2, max_levels=1)) is None
 
 
+def test_tight_level_budget_ends_not_found():
+    # one level of maj3 holds one gate, however many gates are allowed
+    target = TruthTable.from_minterms(3, {1, 6})
+    assert synthesize(target, SearchBudget(6, 1, False)) is None
+
+
+def test_gate_budget_past_the_level_cap_changes_nothing():
+    for wide, narrow, digest in (
+        (SearchBudget(3, 1, False), SearchBudget(1, 1, False),
+         "56cd5681c55b57005deb42e5fa36c21a3cc922f04eadee93d14828af6e23729d"),
+        (SearchBudget(2, 1, True), SearchBudget(1, 1, True),
+         "b0aebc7145d09842a313ea13459f9efc12ac7f2f288b6877302a0106ea2c061d"),
+    ):
+        text = atlas_to_text(synthesize_all_3var(wide))
+        assert text == atlas_to_text(synthesize_all_3var(narrow))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_no_maj5_atlas_matches_independent_search(no_maj5_atlas):
     entries = no_maj5_atlas
     counts = _oracles.min_majority_counts(allow_maj5=False, max_gates=4)

@@ -2,8 +2,10 @@
 
 Runs each command in-process through qcamaj.cli.main with --format records,
 strips the elapsed_ms field, and prints "$ <argv> -> <exit code>" followed by
-the records.  Uses the package under src/ next to this script, so two
-checkouts compare with
+the records and each stderr line prefixed "! ".  The corpus covers atlas
+under five budgets, synth, verify on well-formed, deeply nested and
+malformed expressions, audit-tables, adders and sim.  Uses the package
+under src/ next to this script, so two checkouts compare with
 
     python3 tools/records_corpus.py > a.txt     # in one checkout
     python3 tools/records_corpus.py > b.txt     # in the other
@@ -32,6 +34,8 @@ BUDGETS = [
     ["--no-maj5", "--max-gates", "5", "--max-levels", "5"],
 ]
 SIM_ARITY = {"wire": 1, "inverter": 1, "maj3": 3, "maj5": 5}
+DEEP = 300
+MALFORMED = ["M(A,B", "M(A,,B)", "A B", "2", "M(A,B)", "M(A,B,D)", "Q(A,B,C)"]
 
 
 def commands():
@@ -39,6 +43,11 @@ def commands():
         yield ["atlas"] + budget
     for spec in ("sum(1,6)", "sum(0,7)", "sum(1,2,4,7)"):
         yield ["synth", spec]
+    yield ["verify", "M(M(A,B,0),C,0)", "sum(7)"]
+    yield ["verify", "M(x,y,z)", "sum(3,5,6,7)", "--order", "x,y,z"]
+    yield ["verify", "M(" * DEEP + "A" + ",B,C)" * DEEP, "sum(3,5,6,7)"]
+    for text in MALFORMED:
+        yield ["verify", text, "sum(7)"]
     yield ["audit-tables"]
     yield ["adders"]
     for gate, arity in SIM_ARITY.items():
@@ -48,11 +57,13 @@ def commands():
 
 def main_corpus() -> None:
     for argv in commands():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + ["--format", "records"])
         print(f"$ {shlex.join(argv)} -> {code}")
         sys.stdout.write(re.sub(r" elapsed_ms=\S+", "", out.getvalue()))
+        for line in err.getvalue().splitlines():
+            print(f"! {line}")
 
 
 if __name__ == "__main__":
