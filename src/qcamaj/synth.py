@@ -12,12 +12,13 @@ Each level makes one pass with one gate enumerator, _gates.  It first
 scans every state for gates whose table is still unsolved, then grows
 every state by each gate that computes a function new to its chain,
 keeping the first chain per (table, depth) profile.  Both uses skip
-gates deeper than max_levels, and the levels stop at the most gates a
-cone of max_levels depth can hold, so a tight level budget ends the
-search early.  Truth tables are kept in the int form of truthtable.py,
-and algebraically trivial operand multisets are never tried (a repeated
-majority operand beyond what a five-input pair exploits, both constants
-at once, or a complementary literal pair).
+gates deeper than max_levels.  A solving gate's network is its whole
+chain, so the levels stop at the most gates a cone of max_levels depth
+can hold and a tight level budget ends the search early.  Truth tables
+are kept in the int form of truthtable.py, and algebraically trivial
+operand multisets are never tried (a repeated majority operand beyond
+what a five-input pair exploits, both constants at once, or a
+complementary literal pair).
 
 Among the networks that realize a target with the fewest majority gates,
 the result minimizes (gate_count, levels, inverter_count) and finally the
@@ -64,13 +65,12 @@ class SearchBudget:
 
 
 class _Gate:
-    __slots__ = ("children", "table", "depth", "is_maj5")
+    __slots__ = ("children", "table", "depth")
 
-    def __init__(self, children, table, depth, is_maj5):
+    def __init__(self, children, table, depth):
         self.children = children    # candidate indices
         self.table = table
         self.depth = depth
-        self.is_maj5 = is_maj5
 
 
 class _Searcher:
@@ -123,7 +123,7 @@ class _Searcher:
         have = set(cand)
         nbase = self.nbase
         max_levels = self.budget.max_levels
-        for combos, fn, is5 in ((m3, maj3, False), (m5, maj5, True)):
+        for combos, fn in ((m3, maj3), (m5, maj5)):
             for combo in combos:
                 t = fn(*(cand[x] for x in combo))
                 if t in have or t not in wanted:
@@ -133,27 +133,12 @@ class _Searcher:
                     for x in combo
                 )
                 if depth <= max_levels:
-                    yield _Gate(combo, t, depth, is5)
+                    yield _Gate(combo, t, depth)
 
     # ---- solution bookkeeping ------------------------------------------
 
-    def _cone(self, chain, root: int):
-        """Chain positions and literal indices reachable from candidate
-        index `root`."""
-        gates: set[int] = set()
-        lits: set[int] = set()
-        stack = [root]
-        while stack:
-            ci = stack.pop()
-            if ci < self.nbase:
-                lits.add(ci)
-            elif ci - self.nbase not in gates:
-                gates.add(ci - self.nbase)
-                stack.extend(chain[ci - self.nbase].children)
-        return gates, lits
-
     def _network(self, chain, root: int) -> Network:
-        """The cone of candidate index `root` as a Network."""
+        """Every gate of the chain as a Network with output `root`."""
         b = NetworkBuilder(self.n)
         ids: dict[int, int] = {}
 
@@ -166,10 +151,9 @@ class _Searcher:
                 return b.invert(b.input(ci - 2 - self.n))
             return b.input(ci - 2)
 
-        for j in sorted(self._cone(chain, root)[0]):
-            g = chain[j]
+        for j, g in enumerate(chain):
             children = [resolve(ci) for ci in g.children]
-            ids[self.nbase + j] = (b.maj5(*children) if g.is_maj5
+            ids[self.nbase + j] = (b.maj5(*children) if len(children) == 5
                                    else b.maj3(*children))
         return b.build(resolve(root))
 
@@ -187,8 +171,11 @@ class _Searcher:
         if not unsolved:
             return solutions
 
-        # an answer first found at level k has all k gates in its cone
-        # (else the cone alone solves it sooner), and a cone of depth
+        # a gate solving an unsolved target at level k has all k chain
+        # gates in its cone.  Else the cone's gates, in chain order, form a
+        # shorter chain whose (table, depth) profile growth kept, and a
+        # scan there with the same operands would have solved it sooner.
+        # So _network and ninv take the whole chain, and a cone of depth
         # max_levels holds at most 1 + f + ... + f^(max_levels-1) gates
         fan_in = 5 if self.budget.allow_maj5 else 3
         top, width = 0, 1
@@ -207,8 +194,8 @@ class _Searcher:
             for chain in states:
                 for gate in self._gates(chain, m3, m5, unsolved):
                     grown = chain + (gate,)
-                    ninv = sum(1 for l in self._cone(grown, root)[1]
-                               if l in self.neg_range)
+                    ninv = len({ci for g in grown for ci in g.children
+                                if ci in self.neg_range})
                     key = (level + ninv, gate.depth, ninv)
                     cur = best.get(gate.table)
                     if cur is not None and key > cur[0]:

@@ -131,6 +131,9 @@ def maj5(a: int, b: int, c: int, d: int, e: int) -> int:
 
 
 _SPEC_RE = re.compile(r"sum\((\d+(,\d+)*)?\)", re.IGNORECASE)
+# the longest prefix that some well-formed set extends
+_SPEC_PREFIX_RE = re.compile(
+    r"(?:s(?:u(?:m(?:\((?:\)|\d+(?:,\d+)*(?:,|\))?)?)?)?)?)?", re.IGNORECASE)
 
 
 def parse_minterm_spec(text: str) -> frozenset[int]:
@@ -142,9 +145,9 @@ def parse_minterm_spec(text: str) -> frozenset[int]:
     stripped = "".join(text.split())
     m = _SPEC_RE.fullmatch(stripped)
     if m is None:
-        # point at the first character that breaks the expected shape
-        probe = _SPEC_RE.match(stripped)
-        position = probe.end() if probe else 0
+        # offset in `text` of the first character that breaks the shape
+        kept = [i for i, ch in enumerate(text) if not ch.isspace()]
+        position = (kept + [len(text)])[_SPEC_PREFIX_RE.match(stripped).end()]
         raise ParseError(f"bad minterm set {text!r}, expected sum(i,j,...)",
                          position)
     if m.group(1) is None:

@@ -218,6 +218,45 @@ def test_random_network_text_round_trip(net):
     assert from_text(to_text(net)) == net
 
 
+# header and footer words, every node kind and a bad one, small and
+# negative ints, an underscored int, a non-ASCII digit and a huge number
+TEXT_TOKENS = ["network", "output", "input", "const", "not", "maj3", "maj5",
+               "blorp", "0", "1", "2", "3", "-1", "1_0", "\u0663", "9" * 30]
+
+
+@st.composite
+def token_soup(draw):
+    def line():
+        return " ".join(draw(st.lists(st.sampled_from(TEXT_TOKENS),
+                                      max_size=5)))
+
+    lines = [draw(st.sampled_from(["network ", ""])) + line()]
+    lines += [line() for _ in range(draw(st.integers(0, 4)))]
+    lines.append(draw(st.sampled_from(["output ", ""])) + line())
+    return "\n".join(lines)
+
+
+@st.composite
+def damaged_text(draw):
+    """A serialized network with a few tokens replaced, deleted or turned
+    into line breaks."""
+    rows = [ln.split() for ln in to_text(draw(random_networks())).splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.sampled_from(TEXT_TOKENS + ["", "\n"]))
+    return "\n".join(" ".join(row) for row in rows)
+
+
+@given(st.one_of(token_soup(), damaged_text()))
+def test_arbitrary_text_gives_a_network_or_value_error(text):
+    try:
+        net = from_text(text)
+    except ValueError:
+        return
+    assert from_text(to_text(net)) == net
+
+
 @given(random_networks())
 def test_random_network_expression_round_trip(net):
     text = format_expr(net)

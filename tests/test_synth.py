@@ -18,6 +18,7 @@ from qcamaj import (
     verify,
 )
 from qcamaj.errors import CapacityError
+from qcamaj.network import reachable
 
 import _oracles
 
@@ -195,6 +196,16 @@ def test_synthesized_networks_only_invert_inputs(atlas):
         for node in net.nodes:
             if node.kind == NOT:
                 assert net.nodes[node.args[0]].kind == INPUT
+
+
+def test_synthesized_networks_have_no_dead_nodes(atlas, no_maj5_atlas):
+    # a minimum chain has no unused gate, so the network is the whole cone
+    nets = [e.network for e in atlas + no_maj5_atlas if e.network]
+    for n in (1, 2):
+        nets += [synthesize(TruthTable.from_int(n, t))
+                 for t in range(1 << (1 << n))]
+    for net in nets:
+        assert reachable(net) == set(range(len(net.nodes))), to_text(net)
 
 
 def test_atlas_text_rendering(atlas):

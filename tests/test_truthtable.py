@@ -1,6 +1,7 @@
 """Truth table construction, evaluation, and minterm text parsing."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -101,6 +102,37 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_minterm_spec("xum(1)")
     assert exc.value.position == 0
+
+
+@pytest.mark.parametrize("text, position", [
+    ("sum(1, 2) x", 10), ("sum(1,x)", 6), ("sum(1,)", 6), ("sum(1", 5),
+    ("  sum(1)  x", 10), ("sum(1)(", 6), ("", 0), ("  ", 2),
+])
+def test_parse_error_points_at_the_first_bad_character(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_minterm_spec(text)
+    assert exc.value.position == position
+
+
+# the keyword in both cases, symbols, digits, a letter, a non-ASCII digit
+# and whitespace
+SPEC_PIECES = list("sumSUM(),019x") + ["\u0663", " ", "\t", "\n"]
+# every prefix of a well-formed set, once its whitespace is removed
+SPEC_PREFIX = re.compile(
+    r"|s|su|sum|sum\(\)|sum\((\d+,)*\d*|sum\((\d+,)*\d+\)", re.IGNORECASE)
+
+
+@given(st.lists(st.sampled_from(SPEC_PIECES), max_size=20).map("".join))
+def test_arbitrary_minterm_text_parses_or_points_at_its_break(text):
+    try:
+        parse_minterm_spec(text)
+    except ParseError as e:
+        p = e.position
+        assert 0 <= p <= len(text)
+        assert SPEC_PREFIX.fullmatch("".join(text[:p].split()))
+        if p < len(text):
+            assert not text[p].isspace()
+            assert not SPEC_PREFIX.fullmatch("".join(text[:p + 1].split()))
 
 
 def test_format_minterms_sorted():

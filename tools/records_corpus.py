@@ -3,8 +3,10 @@
 Runs each command in-process through qcamaj.cli.main with --format records,
 strips the elapsed_ms field, and prints "$ <argv> -> <exit code>" followed by
 the records and each stderr line prefixed "! ".  The corpus covers atlas
-under five budgets, synth, verify on well-formed, deeply nested and
-malformed expressions, audit-tables, adders and sim.  Uses the package
+under five budgets; synth on three-variable targets, on one- and
+two-variable targets, without maj5 and out of budget; verify on
+well-formed, deeply nested and malformed expressions; audit-tables,
+adders and sim.  Uses the package
 under src/ next to this script, so two checkouts compare with
 
     python3 tools/records_corpus.py > a.txt     # in one checkout
@@ -43,6 +45,10 @@ def commands():
         yield ["atlas"] + budget
     for spec in ("sum(1,6)", "sum(0,7)", "sum(1,2,4,7)"):
         yield ["synth", spec]
+    yield ["synth", "sum(0)", "--order", "A"]
+    yield ["synth", "sum(1,2)", "--order", "A,B"]
+    yield ["synth", "sum(0,3)", "--order", "A,B", "--no-maj5"]
+    yield ["synth", "sum(1,6)", "--max-gates", "2"]
     yield ["verify", "M(M(A,B,0),C,0)", "sum(7)"]
     yield ["verify", "M(x,y,z)", "sum(3,5,6,7)", "--order", "x,y,z"]
     yield ["verify", "M(" * DEEP + "A" + ",B,C)" * DEEP, "sum(3,5,6,7)"]
