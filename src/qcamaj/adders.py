@@ -1,23 +1,19 @@
 """One-bit full adder designs in majority logic.
 
 Every design computes Carry = M(A,B,Cin) and differs in how Sum is wired.
-Sum and Carry share one node pool per design, so the census counts a
-subterm used by both outputs once.
+Each design is its Sum expression text, parsed into one node pool with
+the carry, so the census counts a subterm used by both outputs once.
 
-classic               Sum = M(M(A',B,Cin), M(A,B',Cin), M(A,B,Cin'))
-classic-simplified    Sum = M(M(A',B,Cin), M(A,B',Cin), Cin')
-three-gate            Sum = M(Carry', Cin, M(A,B,Cin'))
-single-maj5           Sum = M5(A,B,Cin,Carry',Carry')
-
-The last form feeds one inverted carry node into two operand slots of a
-five-input majority gate, which is what gets the census down to one
-three-input gate, one five-input gate, and one inverter.
+The single-maj5 form feeds one inverted carry node into two operand
+slots of a five-input majority gate, which is what gets the census down
+to one three-input gate, one five-input gate, and one inverter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .expr import parse_into
 from .network import (CostReport, Network, NetworkBuilder, combined_cost,
                       truth_table)
 from .truthtable import TruthTable
@@ -35,52 +31,35 @@ class AdderDesign:
         return combined_cost((self.sum_net, self.carry_net))
 
 
-def _base(builder: NetworkBuilder):
-    a = builder.input(0)
-    b = builder.input(1)
-    cin = builder.input(2)
-    return a, b, cin
+def _design(name: str, sum_text: str) -> AdderDesign:
+    """Parse Carry, then Sum, into one node pool, so a Sum that spells
+    out the carry reuses the carry's node."""
+    b = NetworkBuilder(3)
+    carry = parse_into(b, "M(A,B,Cin)", ADDER_VARS)
+    s = parse_into(b, sum_text, ADDER_VARS)
+    return AdderDesign(name, b.build(s), b.build(carry))
 
 
 def adder_classic() -> AdderDesign:
     """Five majority gates and three inverters."""
-    b = NetworkBuilder(3)
-    a, bb, cin = _base(b)
-    na, nb, ncin = b.invert(a), b.invert(bb), b.invert(cin)
-    carry = b.maj3(a, bb, cin)
-    s = b.maj3(b.maj3(na, bb, cin), b.maj3(a, nb, cin), b.maj3(a, bb, ncin))
-    return AdderDesign("classic", b.build(s), b.build(carry))
+    return _design("classic", "M(M(A',B,Cin),M(A,B',Cin),M(A,B,Cin'))")
 
 
 def adder_classic_simplified() -> AdderDesign:
     """Classic form with the third inner gate replaced by Cin' alone,
     which preserves the sum; four majority gates and three inverters."""
-    b = NetworkBuilder(3)
-    a, bb, cin = _base(b)
-    na, nb, ncin = b.invert(a), b.invert(bb), b.invert(cin)
-    carry = b.maj3(a, bb, cin)
-    s = b.maj3(b.maj3(na, bb, cin), b.maj3(a, nb, cin), ncin)
-    return AdderDesign("classic-simplified", b.build(s), b.build(carry))
+    return _design("classic-simplified", "M(M(A',B,Cin),M(A,B',Cin),Cin')")
 
 
 def adder_three_gate() -> AdderDesign:
     """Three majority gates and two inverters, reusing the carry."""
-    b = NetworkBuilder(3)
-    a, bb, cin = _base(b)
-    carry = b.maj3(a, bb, cin)
-    s = b.maj3(b.invert(carry), cin, b.maj3(a, bb, b.invert(cin)))
-    return AdderDesign("three-gate", b.build(s), b.build(carry))
+    return _design("three-gate", "M(M(A,B,Cin)',Cin,M(A,B,Cin'))")
 
 
 def adder_single_maj5() -> AdderDesign:
     """One maj3, one maj5, one inverter.  The single inverted-carry node
     occupies two operand slots of the five-input gate."""
-    b = NetworkBuilder(3)
-    a, bb, cin = _base(b)
-    carry = b.maj3(a, bb, cin)
-    ncarry = b.invert(carry)
-    s = b.maj5(a, bb, cin, ncarry, ncarry)
-    return AdderDesign("single-maj5", b.build(s), b.build(carry))
+    return _design("single-maj5", "M5(A,B,Cin,M(A,B,Cin)',M(A,B,Cin)')")
 
 
 ALL_ADDERS = (adder_single_maj5, adder_three_gate, adder_classic,

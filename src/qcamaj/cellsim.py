@@ -34,7 +34,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ChargeError, ConvergenceError, UndecidedError
+from .errors import (CapacityError, ChargeError, ConvergenceError,
+                     UndecidedError)
 
 DRIVER = "driver"
 FREE = "free"
@@ -44,6 +45,10 @@ _ROLES = (DRIVER, FREE, OUTPUT)
 
 FACE_WEIGHT = 2.5
 DIAGONAL_WEIGHT = -0.2
+
+# the coupling build compares every pair of cells, so a wire's build time
+# grows with the square of its length
+MAX_WIRE_CELLS = 4096
 
 
 def _polarization(rho: Sequence[float], plus: tuple[int, ...],
@@ -212,9 +217,15 @@ def read_logic(result: RelaxResult, threshold: float = 0.5) -> int:
 
 
 def build_wire(length: int, driver_p: float) -> CellGrid:
-    """Straight binary wire: driver, length-2 free cells, output."""
+    """Straight binary wire: driver, length-2 free cells, output.
+
+    Raises CapacityError above MAX_WIRE_CELLS cells, before building any.
+    """
     if length < 2:
         raise ValueError(f"a wire needs at least 2 cells, got {length}")
+    if length > MAX_WIRE_CELLS:
+        raise CapacityError(
+            f"a wire holds at most {MAX_WIRE_CELLS} cells, got {length}")
     cells = [Cell((0, 0), DRIVER, driver_p)]
     cells += [Cell((x, 0)) for x in range(1, length - 1)]
     cells.append(Cell((length - 1, 0), OUTPUT))

@@ -65,15 +65,13 @@ def render_text(report: RunReport) -> str:
 
 
 def render_records(report: RunReport) -> str:
-    def q(v: str) -> str:
-        return shlex.quote(v)
-
-    lines = [f"report command={q(report.command)} version={q(report.version)} "
+    lines = [f"report command={shlex.quote(report.command)} "
+             f"version={shlex.quote(report.version)} "
              f"elapsed_ms={report.elapsed_ms:.1f}"]
-    for k, v in report.fields:
-        lines.append(f"field {k}={q(v)}")
+    lines += [f"field {k}={shlex.quote(v)}" for k, v in report.fields]
     for r in report.rows:
-        lines.append("row " + " ".join(f"{k}={q(v)}" for k, v in r.items()))
+        lines.append("row " + " ".join(f"{k}={shlex.quote(v)}"
+                                       for k, v in r.items()))
     return "\n".join(lines) + "\n"
 
 

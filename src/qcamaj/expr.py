@@ -14,7 +14,7 @@ ParseError carrying the character offset.
 
 from __future__ import annotations
 
-from .errors import ParseError, UnknownVariableError
+from .errors import ArityError, ParseError, UnknownVariableError
 from .network import Network, NetworkBuilder
 
 _SYMBOLS = "(),'"
@@ -122,6 +122,21 @@ def _parse(tokens: list[_Token], names: list[str], builder: NetworkBuilder,
             node = (builder.maj3 if arity == 3 else builder.maj5)(*children)
 
 
+def parse_into(builder: NetworkBuilder, text: str, variable_names) -> int:
+    """Parse expression text into `builder`'s node pool; return its root id.
+
+    Subterms already in the pool, from this text or an earlier one, are
+    reused, so networks built from one builder share them.
+    """
+    names = list(variable_names)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in {names}")
+    if len(names) != builder.n_vars:
+        raise ArityError(
+            f"got {len(names)} names for {builder.n_vars} variables")
+    return _parse(_tokenize(text), names, builder, len(text))
+
+
 def parse_expr(text: str, variable_names) -> Network:
     """Parse expression text into a Network over the named variables.
 
@@ -131,7 +146,5 @@ def parse_expr(text: str, variable_names) -> Network:
     names = list(variable_names)
     if not names:
         raise ValueError("need at least one variable name")
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable names in {names}")
     builder = NetworkBuilder(len(names))
-    return builder.build(_parse(_tokenize(text), names, builder, len(text)))
+    return builder.build(parse_into(builder, text, names))

@@ -130,8 +130,8 @@ def maj5(a: int, b: int, c: int, d: int, e: int) -> int:
             | (b & d & e) | (c & d & e))
 
 
-_SPEC_RE = re.compile(r"sum\((\d+(,\d+)*)?\)", re.IGNORECASE)
-# the longest prefix that some well-formed set extends
+# the longest prefix that some well-formed set extends; a text is well
+# formed when this spans all of it and it ends in ")"
 _SPEC_PREFIX_RE = re.compile(
     r"(?:s(?:u(?:m(?:\((?:\)|\d+(?:,\d+)*(?:,|\))?)?)?)?)?)?", re.IGNORECASE)
 
@@ -143,16 +143,14 @@ def parse_minterm_spec(text: str) -> frozenset[int]:
     ``sum()`` denotes the empty set.  Raises ParseError on anything else.
     """
     stripped = "".join(text.split())
-    m = _SPEC_RE.fullmatch(stripped)
-    if m is None:
+    end = _SPEC_PREFIX_RE.match(stripped).end()
+    if end < len(stripped) or not stripped.endswith(")"):
         # offset in `text` of the first character that breaks the shape
         kept = [i for i, ch in enumerate(text) if not ch.isspace()]
-        position = (kept + [len(text)])[_SPEC_PREFIX_RE.match(stripped).end()]
         raise ParseError(f"bad minterm set {text!r}, expected sum(i,j,...)",
-                         position)
-    if m.group(1) is None:
-        return frozenset()
-    return frozenset(int(part) for part in m.group(1).split(","))
+                         (kept + [len(text)])[end])
+    # the one empty part is the body of sum()
+    return frozenset(int(part) for part in stripped[4:-1].split(",") if part)
 
 
 def format_minterms(minterms: Iterable[int]) -> str:

@@ -29,10 +29,12 @@ from qcamaj.cellsim import (
     DRIVER,
     FACE_WEIGHT,
     FREE,
+    MAX_WIRE_CELLS,
     OUTPUT,
     response,
 )
-from qcamaj.errors import ChargeError, ConvergenceError, UndecidedError
+from qcamaj.errors import (CapacityError, ChargeError, ConvergenceError,
+                           UndecidedError)
 
 import _oracles
 
@@ -163,6 +165,12 @@ def test_wire_carries_both_logic_values():
 def test_wire_needs_two_cells():
     with pytest.raises(ValueError):
         build_wire(1, 1.0)
+
+
+def test_wire_length_is_capped():
+    with pytest.raises(CapacityError, match=f"at most {MAX_WIRE_CELLS} cells, "
+                                            f"got {MAX_WIRE_CELLS + 1}"):
+        build_wire(MAX_WIRE_CELLS + 1, 1.0)
 
 
 def test_equilibrium_satisfies_update_rule():

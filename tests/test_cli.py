@@ -192,6 +192,14 @@ def test_sim_wire_length_flag(capsys):
     assert len(rows) == 8
 
 
+def test_sim_wire_past_the_cap_exits_two(capsys):
+    code, out, err = run(capsys, "sim", "wire", "1", "--length", "4097")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qcamaj: error: ")
+    assert "at most 4096 cells, got 4097" in err
+
+
 def test_version_flag(capsys):
     code = main(["--version"])
     out = capsys.readouterr().out

@@ -5,8 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from qcamaj import parse_expr, format_expr, truth_table
-from qcamaj.errors import ParseError, UnknownVariableError
+from qcamaj import (NetworkBuilder, combined_cost, parse_expr, format_expr,
+                    truth_table)
+from qcamaj.errors import ArityError, ParseError, UnknownVariableError
+from qcamaj.expr import parse_into
 
 import _oracles
 
@@ -153,3 +155,30 @@ def test_shared_subterms_parse_to_one_node():
     report = cost(net)
     assert report.maj3_count == 2
     assert report.inverter_count == 1
+
+
+def test_parse_into_shares_subterms_across_expressions():
+    b = NetworkBuilder(3)
+    first = parse_into(b, "M(A,B,C)", NAMES)
+    second = parse_into(b, "M(M(A,B,C)',C,A)", NAMES)
+    net = b.build(second)
+    # the second text's M(A,B,C) is the first text's node
+    assert net.nodes[net.nodes[second].args[0]].args == (first,)
+    both = combined_cost((b.build(first), b.build(second)))
+    assert (both.maj3_count, both.inverter_count) == (2, 1)
+
+
+def test_parse_into_needs_one_name_per_builder_variable():
+    for names in (("A", "B"), ("A", "B", "C", "D")):
+        with pytest.raises(ArityError, match=f"got {len(names)} names "
+                                             "for 3 variables"):
+            parse_into(NetworkBuilder(3), "A", names)
+
+
+def test_parse_into_rejects_duplicate_names_as_parse_expr_does():
+    with pytest.raises(ValueError) as into:
+        parse_into(NetworkBuilder(2), "A", ("A", "A"))
+    with pytest.raises(ValueError) as whole:
+        parse_expr("A", ("A", "A"))
+    assert type(into.value) is type(whole.value)
+    assert str(into.value) == str(whole.value)

@@ -6,8 +6,9 @@ the records and each stderr line prefixed "! ".  The corpus covers atlas
 under five budgets; synth on three-variable targets, on one- and
 two-variable targets, without maj5 and out of budget; verify on
 well-formed, deeply nested and malformed expressions; audit-tables,
-adders and sim.  Uses the package
-under src/ next to this script, so two checkouts compare with
+adders; sim on every gate and row, and a wire one cell past the cap.
+Uses the package under src/ next to this script, so two checkouts
+compare with
 
     python3 tools/records_corpus.py > a.txt     # in one checkout
     python3 tools/records_corpus.py > b.txt     # in the other
@@ -59,6 +60,7 @@ def commands():
     for gate, arity in SIM_ARITY.items():
         for bits in itertools.product("01", repeat=arity):
             yield ["sim", gate, "".join(bits)]
+    yield ["sim", "wire", "1", "--length", "4097"]
 
 
 def main_corpus() -> None:
