@@ -1,10 +1,10 @@
 """Cell-level relaxation model for majority-logic primitives.
 
 Cells sit on an integer lattice, two-dimensional for the planar gates and
-three-dimensional for the cube-cell five-input gate.  A cell's state is a
-polarization in [-1, +1]; +1 encodes logic 1.  Drivers hold a fixed
-polarization, free cells settle, and exactly one cell is the designated
-output.
+three-dimensional for the cube-cell five-input gate; a grid rejects a
+coordinate that is not an int.  A cell's state is a polarization in
+[-1, +1]; +1 encodes logic 1.  Drivers hold a fixed polarization, free
+cells settle, and exactly one cell is the designated output.
 
 Each relaxation sweep updates the non-driver cells in list order through
 the saturating response
@@ -21,7 +21,8 @@ which is what the fork-and-converge inverter exploits.  The face weight
 must clear f's knee with room to spare: a cell fed by a single neighbor
 settles at f(w * p), so w = 2.5 keeps even the last cell of a wire above
 0.9 and lets the face-coupled signal path dominate the weak diagonal
-interference near gate outputs.
+interference near gate outputs.  A grid looks each cell's couplings up
+by position, one lattice step away, so its build is linear in its cells.
 
 The four-dot polarization convention puts +1 on charge in corners 2 and
 4; the eight-dot cube convention puts +1 on charge in corners 1, 3, 6
@@ -30,6 +31,7 @@ and 8.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,17 +48,25 @@ _ROLES = (DRIVER, FREE, OUTPUT)
 FACE_WEIGHT = 2.5
 DIAGONAL_WEIGHT = -0.2
 
-# the coupling build compares every pair of cells, so a wire's build time
-# grows with the square of its length
+# bounds what one request allocates: a wire's cells, couplings and sweeps
 MAX_WIRE_CELLS = 4096
+
+# the lattice steps to every coupled cell: one nonzero coordinate is a face
+# step (squared length 1), two a diagonal (2); 8 steps in 2D, 18 in 3D
+_STEPS = {
+    dim: [(step, FACE_WEIGHT if sum(map(abs, step)) == 1 else DIAGONAL_WEIGHT)
+          for step in itertools.product((-1, 0, 1), repeat=dim)
+          if 1 <= sum(map(abs, step)) <= 2]
+    for dim in (2, 3)
+}
 
 
 def _polarization(rho: Sequence[float], plus: tuple[int, ...],
                   n_dots: int) -> float:
     if len(rho) != n_dots:
         raise ChargeError(f"expected {n_dots} dot charges, got {len(rho)}")
-    if any(r < 0 for r in rho):
-        raise ChargeError(f"dot charges must be non-negative: {tuple(rho)}")
+    if not all(0 <= r < math.inf for r in rho):
+        raise ChargeError(f"dot charges must lie in [0, inf): {tuple(rho)}")
     total = sum(rho)
     if total == 0:
         raise ChargeError("degenerate charge state, all dots are zero")
@@ -101,16 +111,19 @@ class CellGrid:
         dim = len(cells[0].position)
         if dim not in (2, 3):
             raise ValueError(f"positions must be 2D or 3D, got {dim}D")
-        seen = set()
+        index = {}
         outputs = []
         for i, c in enumerate(cells):
             if len(c.position) != dim:
                 raise ValueError(
                     f"cell {i} is {len(c.position)}D in a {dim}D grid"
                 )
-            if c.position in seen:
+            if not all(isinstance(x, int) for x in c.position):
+                raise ValueError(f"cell {i}: position {c.position} is off "
+                                 f"the integer lattice")
+            if c.position in index:
                 raise ValueError(f"duplicate cell position {c.position}")
-            seen.add(c.position)
+            index[c.position] = i
             if c.role not in _ROLES:
                 raise ValueError(f"cell {i} has unknown role {c.role!r}")
             if c.role == OUTPUT:
@@ -124,30 +137,20 @@ class CellGrid:
             raise ValueError(f"need exactly one output cell, got {len(outputs)}")
         self.cells = cells
         self.output_index = outputs[0]
-        self._weights = self._couple_all()
-
-    def _couple_all(self):
-        n = len(self.cells)
-        weights: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = self.coupling(i, j)
-                if w:
-                    weights[i].append((j, w))
-                    weights[j].append((i, w))
-        return weights
+        self._weights = []
+        for c in cells:
+            found = []
+            for step, w in _STEPS[dim]:
+                j = index.get(tuple(x + d for x, d in zip(c.position, step)))
+                if j is not None:
+                    found.append((j, w))
+            self._weights.append(tuple(sorted(found)))
 
     def coupling(self, i: int, j: int) -> float:
-        a, b = self.cells[i], self.cells[j]
-        d2 = sum((x - y) ** 2 for x, y in zip(a.position, b.position))
-        if d2 == 1:
-            return FACE_WEIGHT
-        if d2 == 2:
-            return DIAGONAL_WEIGHT
-        return 0.0
+        return dict(self._weights[i]).get(j, 0.0)
 
     def neighbors(self, i: int):
-        return tuple(self._weights[i])
+        return self._weights[i]
 
 
 @dataclass(frozen=True)

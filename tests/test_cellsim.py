@@ -8,6 +8,7 @@ of the sweep order.
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +74,12 @@ def test_charge_state_validation():
         ChargeState4((0, 0, 0, 0)).polarization()
     with pytest.raises(ChargeError):
         ChargeState8((1, 0, 1, 0)).polarization()
+    for rho in ((math.nan, 0, 0, 0), (math.inf, 1, 0, 0),
+                (1, 0, -math.inf, 0)):
+        with pytest.raises(ChargeError):
+            ChargeState4(rho).polarization()
+    with pytest.raises(ChargeError):
+        ChargeState8((1, 0, 1, 0, 0, 1, 0, math.nan)).polarization()
 
 
 # geometry and couplings ------------------------------------------------
@@ -119,6 +126,34 @@ def test_grid_validation():
         build_maj3(1.0, float("nan"), 1.0)
     with pytest.raises(ValueError, match="cell 4: driver"):
         build_maj5(1.0, 1.0, -1.0, 1.0, -1.5)
+    # couplings are looked up on the integer lattice
+    with pytest.raises(ValueError, match="cell 0:"):
+        CellGrid([Cell((0.5, 0), OUTPUT)])
+    with pytest.raises(ValueError, match="cell 1:"):
+        CellGrid([Cell((0, 0), OUTPUT), Cell((1.0, 0))])
+    with pytest.raises(ValueError, match="cell 2:"):
+        CellGrid([Cell((0, 0, 0), OUTPUT), Cell((1, 0, 0)),
+                  Cell((1, 0, math.nan))])
+
+
+GRIDS = st.sampled_from((2, 3)).flatmap(lambda dim: st.lists(
+    st.tuples(*(st.integers(-3, 3) for _ in range(dim))),
+    min_size=1, max_size=40, unique=True))
+
+
+@given(GRIDS)
+def test_neighbors_follow_the_squared_distance_rule(positions):
+    grid = CellGrid([Cell(pos) for pos in positions[:-1]]
+                    + [Cell(positions[-1], OUTPUT)])
+    for i, a in enumerate(positions):
+        expected = []
+        for j, b in enumerate(positions):
+            d2 = sum((x - y) ** 2 for x, y in zip(a, b))
+            if d2 == 1:
+                expected.append((j, FACE_WEIGHT))
+            elif d2 == 2:
+                expected.append((j, DIAGONAL_WEIGHT))
+        assert list(grid.neighbors(i)) == expected
 
 
 def test_response_shape():
@@ -171,6 +206,13 @@ def test_wire_length_is_capped():
     with pytest.raises(CapacityError, match=f"at most {MAX_WIRE_CELLS} cells, "
                                             f"got {MAX_WIRE_CELLS + 1}"):
         build_wire(MAX_WIRE_CELLS + 1, 1.0)
+
+
+def test_longest_wire_builds_and_relaxes_within_a_second():
+    start = time.perf_counter()
+    result = relax(build_wire(MAX_WIRE_CELLS, 1.0))
+    assert time.perf_counter() - start < 1.0
+    assert read_logic(result) == 1
 
 
 def test_equilibrium_satisfies_update_rule():

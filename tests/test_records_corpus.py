@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 CORPUS = Path(__file__).resolve().parent.parent / "tools" / "records_corpus.py"
-FROZEN = "155bdd2a73d31ff3c337d528360ed9292d6c30fccd1c92d75998b794db09a00b"
+FROZEN = "12d05118c445eb6b6006116f9d7131a64426c7a78c7e3114e6c5d0838b6b5ff7"
 
 
 @pytest.mark.slow

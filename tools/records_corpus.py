@@ -6,7 +6,8 @@ the records and each stderr line prefixed "! ".  The corpus covers atlas
 under five budgets; synth on three-variable targets, on one- and
 two-variable targets, without maj5 and out of budget; verify on
 well-formed, deeply nested and malformed expressions; audit-tables,
-adders; sim on every gate and row, and a wire one cell past the cap.
+adders; sim on every gate and row, a 1,000-cell wire, and wires at the
+cap and one cell past it.
 Uses the package under src/ next to this script, so two checkouts
 compare with
 
@@ -60,6 +61,8 @@ def commands():
     for gate, arity in SIM_ARITY.items():
         for bits in itertools.product("01", repeat=arity):
             yield ["sim", gate, "".join(bits)]
+    yield ["sim", "wire", "1", "--length", "1000"]
+    yield ["sim", "wire", "0", "--length", "4096"]
     yield ["sim", "wire", "1", "--length", "4097"]
 
 
