@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (and equivalent, where a verdict is the point),
 1 non-equivalent or not found, 2 usage or parse problems (including
-non-finite sim parameters), 3 simulation failures (no convergence,
-undecided readout).
+non-finite sim parameters and --order names that are not variable
+names), 3 simulation failures (no convergence, undecided readout).
 
 Both output modes carry the same data.  Text mode prints aligned
 summaries; records mode prints shell-quoted key=value lines, one line
@@ -24,7 +24,7 @@ from .cellsim import (build_inverter, build_maj3, build_maj5, build_wire,
                       read_logic, relax)
 from .errors import ConvergenceError, UndecidedError
 from .expr import parse_expr
-from .network import cost, format_expr, order_note, truth_table, verify
+from .network import check_names, cost, format_expr, order_note, verify
 from .synth import SearchBudget, synthesize, synthesize_all_3var
 from .truthtable import TruthTable, format_minterms, parse_minterm_spec
 
@@ -83,9 +83,7 @@ def _cost_fields(c) -> dict:
 
 def _names(args) -> list[str]:
     names = [n for n in args.order.split(",") if n]
-    if not names or len(set(names)) != len(names):
-        raise ValueError(f"bad variable order {args.order!r}")
-    return names
+    return check_names(names, len(names))
 
 
 def _budget(args) -> SearchBudget:

@@ -2,20 +2,23 @@
 
 Grammar, with postfix apostrophe binding tightest:
 
-    expr  := term quote*
-    term  := "0" | "1" | variable | "M" "(" expr "," expr "," expr ")"
-           | "M5" "(" expr "," expr "," expr "," expr "," expr ")"
+    expr     := term quote*
+    term     := "0" | "1" | variable | "M" "(" expr "," expr "," expr ")"
+              | "M5" "(" expr "," expr "," expr "," expr "," expr ")"
+    variable := (letter | "_") (letter | digit | "_")*
 
-Gate names are recognized case-insensitively when followed by an opening
-parenthesis; any other identifier must be one of the declared variable
-names.  Whitespace may appear between tokens.  Parse failures raise
-ParseError carrying the character offset.
+Letters and digits are what str.isalpha and str.isalnum accept, so "é"
+is a letter.  Gate names are recognized case-insensitively when followed
+by an opening parenthesis; any other identifier must be one of the
+declared variable names, which network.check_names holds to the
+variable rule.  Whitespace may appear between tokens.  Parse failures
+raise ParseError carrying the character offset.
 """
 
 from __future__ import annotations
 
-from .errors import ArityError, ParseError, UnknownVariableError
-from .network import Network, NetworkBuilder
+from .errors import ParseError, UnknownVariableError
+from .network import Network, NetworkBuilder, check_names, name_end
 
 _SYMBOLS = "(),'"
 _ARITY = {"M": 3, "M5": 5}
@@ -41,21 +44,14 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token(ch, i))
             i += 1
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token(text[i:j], i))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
+        j = name_end(text, i)
+        if j == i:
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(_Token(text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        if j == i:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        tokens.append(_Token(text[i:j], i))
+        i = j
     return tokens
 
 
@@ -128,12 +124,7 @@ def parse_into(builder: NetworkBuilder, text: str, variable_names) -> int:
     Subterms already in the pool, from this text or an earlier one, are
     reused, so networks built from one builder share them.
     """
-    names = list(variable_names)
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable names in {names}")
-    if len(names) != builder.n_vars:
-        raise ArityError(
-            f"got {len(names)} names for {builder.n_vars} variables")
+    names = check_names(variable_names, builder.n_vars)
     return _parse(_tokenize(text), names, builder, len(text))
 
 
@@ -144,7 +135,5 @@ def parse_expr(text: str, variable_names) -> Network:
     census of the parsed network never double-counts a repeated subterm.
     """
     names = list(variable_names)
-    if not names:
-        raise ValueError("need at least one variable name")
     builder = NetworkBuilder(len(names))
     return builder.build(parse_into(builder, text, names))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArityError, CapacityError
-from .truthtable import MAX_VARS, TruthTable, maj3, maj5, var_table
+from .truthtable import MAX_VARS, TruthTable, check_row, maj3, maj5, var_table
 
 INPUT = "input"
 CONST = "const"
@@ -142,17 +142,11 @@ class NetworkBuilder:
 def evaluate(net: Network, assignment) -> int:
     """Evaluate the output for one assignment (a 0/1 sequence in
     variable order)."""
-    if len(assignment) != net.n_vars:
-        raise ArityError(
-            f"assignment has {len(assignment)} values, expected {net.n_vars}"
-        )
+    row = check_row(assignment, net.n_vars)
     values = [0] * len(net.nodes)
     for i, node in enumerate(net.nodes):
         if node.kind == INPUT:
-            v = assignment[node.args[0]]
-            if v not in (0, 1):
-                raise ValueError(f"assignment values must be 0 or 1, got {v!r}")
-            values[i] = v
+            values[i] = row[node.args[0]]
         elif node.kind == CONST:
             values[i] = node.args[0]
         elif node.kind == NOT:
@@ -249,9 +243,40 @@ def combined_cost(nets) -> CostReport:
     return _census(pool, ids)
 
 
+def name_end(text: str, i: int) -> int:
+    """End of the variable name that starts at text[i]: a letter or "_",
+    then letters, digits or "_".  Returns i when no name starts there."""
+    j = i
+    if j < len(text) and (text[j].isalpha() or text[j] == "_"):
+        j += 1
+        while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            j += 1
+    return j
+
+
+def check_names(names, n_vars: int) -> list[str]:
+    """The n_vars variable names: `names` checked for count, duplicates
+    and each being one variable token of the expression grammar, so that
+    format_expr text parses back; or A, B, C, ... when None."""
+    if names is None:
+        if n_vars > 26:
+            raise CapacityError("default names cover at most 26 variables")
+        return [chr(ord("A") + i) for i in range(n_vars)]
+    names = list(names)
+    for name in names:
+        if not name or name_end(name, 0) < len(name):
+            raise ValueError(f"variable name {name!r} must be a letter or _ "
+                             f"followed by letters, digits or _")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in {names}")
+    if len(names) != n_vars:
+        raise ArityError(f"got {len(names)} names for {n_vars} variables")
+    return names
+
+
 def order_note(n_vars: int, names=None) -> str:
     """Standard sentence recording the variable ordering in force."""
-    names = list(names) if names is not None else default_names(n_vars)
+    names = check_names(names, n_vars)
     return (f"variable order {','.join(names)} with {names[0]} as the most "
             f"significant minterm bit")
 
@@ -282,40 +307,60 @@ def verify(net: Network, spec: TruthTable, names=None) -> VerifyReport:
     )
 
 
-def default_names(n_vars: int) -> list[str]:
-    """A, B, C, ... fallback variable names."""
-    if n_vars > 26:
-        raise CapacityError("default names cover at most 26 variables")
-    return [chr(ord("A") + i) for i in range(n_vars)]
+# the longest text format_expr writes; 1 << 20 holds the 700,001
+# characters of a 100,000-deep chain, while text that repeats shared
+# subterms can double with each level of sharing
+MAX_EXPR_CHARS = 1 << 20
+
+_OPEN = {MAJ3: "M(", MAJ5: "M5("}
 
 
 def format_expr(net: Network, names=None) -> str:
     """Render the output cone as expression text.
 
     Shared subterms are written out once per reference, so the text can
-    be longer than the network; parsing it back yields an equivalent
-    function (and re-shares the duplicates).
+    be far longer than the network; above MAX_EXPR_CHARS characters it
+    raises CapacityError before writing any.  Parsing the text back
+    yields an equivalent function (and re-shares the duplicates).
     """
-    names = list(names) if names is not None else default_names(net.n_vars)
-    if len(names) != net.n_vars:
-        raise ArityError(
-            f"got {len(names)} names for {net.n_vars} variables"
-        )
-
-    # children precede parents, so index order renders bottom up
-    text: dict[int, str] = {}
+    names = check_names(names, net.n_vars)
+    # the text length of each subterm, children first
+    size = [0] * len(net.nodes)
     for i in sorted(reachable(net)):
         node = net.nodes[i]
         if node.kind == INPUT:
-            text[i] = names[node.args[0]]
+            size[i] = len(names[node.args[0]])
         elif node.kind == CONST:
-            text[i] = str(node.args[0])
+            size[i] = 1
         elif node.kind == NOT:
-            text[i] = text[node.args[0]] + "'"
+            size[i] = size[node.args[0]] + 1
+        else:   # the opening, the commas and ")"
+            size[i] = (len(_OPEN[node.kind]) + len(node.args)
+                       + sum(size[c] for c in node.args))
+        if size[i] > MAX_EXPR_CHARS:
+            raise CapacityError(
+                f"expression text exceeds {MAX_EXPR_CHARS} characters")
+    # depth first from the output; the stack holds node ids and the
+    # pieces of text that follow them
+    pieces: list[str] = []
+    stack: list = [net.output]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node = net.nodes[item]
+        if node.kind == INPUT:
+            pieces.append(names[node.args[0]])
+        elif node.kind == CONST:
+            pieces.append(str(node.args[0]))
+        elif node.kind == NOT:
+            stack += ("'", node.args[0])
         else:
-            label = "M" if node.kind == MAJ3 else "M5"
-            text[i] = label + "(" + ",".join(text[c] for c in node.args) + ")"
-    return text[net.output]
+            pieces.append(_OPEN[node.kind])
+            body = [x for c in node.args for x in (",", c)][1:] + [")"]
+            stack += reversed(body)
+    return "".join(pieces)
 
 
 def to_text(net: Network) -> str:

@@ -81,15 +81,8 @@ class TruthTable:
         The assignment lists variable values in variable order; its length
         must equal n_vars.
         """
-        if len(assignment) != self.n_vars:
-            raise ArityError(
-                f"assignment has {len(assignment)} values, "
-                f"expected {self.n_vars}"
-            )
         index = 0
-        for v in assignment:
-            if v not in (0, 1):
-                raise ValueError(f"assignment values must be 0 or 1, got {v!r}")
+        for v in check_row(assignment, self.n_vars):
             index = (index << 1) | v
         return self.bits[index]
 
@@ -109,6 +102,17 @@ class TruthTable:
     def to_int(self) -> int:
         """Int form: bit k is the value at minterm k.  Inverse of from_int."""
         return sum(b << k for k, b in enumerate(self.bits))
+
+
+def check_row(assignment: Sequence[int], n_vars: int) -> list[int]:
+    """The assignment as ints, checked to hold n_vars values, each 0 or 1."""
+    if len(assignment) != n_vars:
+        raise ArityError(
+            f"assignment has {len(assignment)} values, expected {n_vars}")
+    for v in assignment:
+        if v not in (0, 1):
+            raise ValueError(f"assignment values must be 0 or 1, got {v!r}")
+    return [int(v) for v in assignment]
 
 
 def var_table(n_vars: int, i: int) -> int:

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -216,3 +217,19 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "equivalent" in proc.stdout
+
+
+def test_names_the_grammar_cannot_read_back_exit_two_before_any_work(capsys):
+    for argv in (
+        ["synth", "sum(4)", "--order", "0,B,C"],
+        ["synth", "sum(4)", "--order", "A',B,C"],
+        ["verify", "M(0,B,C)", "sum(3)", "--order", "0,B,C"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "variable name" in err
+    # the hardest three-variable target, refused before its search starts
+    start = time.perf_counter()
+    code, _, _ = run(capsys, "synth", "sum(1,6)", "--order", "0,B,C")
+    assert code == 2
+    assert time.perf_counter() - start < 1.0

@@ -1,9 +1,10 @@
 """Network construction, evaluation, census, verification, serialization."""
 
 import itertools
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qcamaj import (
     Network,
@@ -19,8 +20,9 @@ from qcamaj import (
     truth_table,
     verify,
 )
-from qcamaj.errors import ArityError, CapacityError
-from qcamaj.network import Node, order_note
+from qcamaj.errors import ArityError, CapacityError, ParseError
+from qcamaj.expr import _SYMBOLS, _tokenize
+from qcamaj.network import MAX_EXPR_CHARS, Node, check_names, order_note
 
 import _oracles
 
@@ -270,3 +272,96 @@ def test_truth_table_agrees_with_pointwise_evaluation(net):
     tt = truth_table(net)
     for bits in itertools.product((0, 1), repeat=3):
         assert evaluate(net, bits) == tt.eval(bits)
+
+
+# names the grammar reads back, gate names among them, and pieces of
+# names it does not: digits (one not ASCII), symbols, a space, and
+# numeric characters that are not decimal digits
+READABLE_NAMES = ["M", "M5", "m", "_", "\u00e9", "x1", "Cin"]
+NAME_PIECES = ["A", "M", "5", "0", "_", "'", " ", "(", ",", "\u00e9",
+               "\u00bd", "\u00b2", "\u0663"]
+NAME_TEXT = st.one_of(
+    st.sampled_from(READABLE_NAMES),
+    st.lists(st.sampled_from(NAME_PIECES), max_size=3).map("".join),
+    st.text(max_size=3),
+)
+
+
+def one_identifier_token(name):
+    try:
+        tokens = [t.text for t in _tokenize(name)]
+    except ParseError:
+        return False
+    return tokens == [name] and not name.isdigit() and name not in _SYMBOLS
+
+
+@given(random_networks(), st.lists(NAME_TEXT, min_size=3, max_size=3))
+@example(parse_expr("M5(M(A,B,C)',A,B',C,1)", NAMES), ["M", "M5", "_"])
+@example(parse_expr("M(A,B,C)'", NAMES), ["\u00e9", "M", "m"])
+def test_names_are_accepted_exactly_when_the_text_reads_them_back(net, names):
+    for name in names:
+        try:
+            check_names([name], 1)
+        except ValueError:
+            assert not one_identifier_token(name), name
+        else:
+            assert one_identifier_token(name), name
+    try:
+        check_names(names, 3)
+    except ValueError:
+        with pytest.raises(ValueError):
+            format_expr(net, names)
+        return
+    text = format_expr(net, names)
+    assert truth_table(parse_expr(text, names)) == truth_table(net)
+
+
+def test_format_expr_refuses_names_parse_expr_refuses():
+    net = parse_expr("M(A,B,C)", NAMES)
+    for names in (["X", "X", "Y"], ["0", "B", "C"], ["A'", "B", "C"],
+                  ["A B", "C", "D"]):
+        with pytest.raises(ValueError):
+            parse_expr("M(X,B,C)", names)
+        with pytest.raises(ValueError):
+            format_expr(net, names)
+
+
+def test_table_lookup_and_pointwise_evaluation_check_rows_alike():
+    net = parse_expr("M(A,B',C)", NAMES)
+    for row in ((1.0, 0, 0), (True, False, 1)):
+        got = evaluate(net, row)
+        assert type(got) is int
+        assert truth_table(net).eval(row) == got
+    # B is read by no node, and is still checked
+    with pytest.raises(ValueError):
+        evaluate(parse_expr("M(A,A,C)", NAMES), (1, 2, 1))
+
+
+def test_format_expr_refuses_text_past_the_cap():
+    b = NetworkBuilder(3)
+    node, bb = b.input(0), b.input(1)
+    for level in range(1, 23):
+        node = b.maj3(node, node, bb)
+        if level == 17:
+            # 7 * 2**17 - 6 characters, the longest under the cap
+            assert len(format_expr(b.build(node))) == 917498
+    net = b.build(node)
+    assert len(net.nodes) == 24
+    with pytest.raises(CapacityError, match=str(MAX_EXPR_CHARS)):
+        format_expr(net)
+
+
+def test_format_expr_memory_follows_the_text():
+    b = NetworkBuilder(3)
+    node, bb, cc = b.input(0), b.input(1), b.input(2)
+    for _ in range(8000):
+        node = b.maj3(node, bb, cc)
+    net = b.build(node)
+    tracemalloc.start()
+    try:
+        text = format_expr(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "M(" * 8000 + "A" + ",B,C)" * 8000
+    assert peak < 5_000_000

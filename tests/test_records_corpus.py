@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 CORPUS = Path(__file__).resolve().parent.parent / "tools" / "records_corpus.py"
-FROZEN = "12d05118c445eb6b6006116f9d7131a64426c7a78c7e3114e6c5d0838b6b5ff7"
+FROZEN = "11ce756d51ecefd97220cb358d183c59c1bbfefaa0455c968974c079ff73e3c8"
 
 
 @pytest.mark.slow

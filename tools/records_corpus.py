@@ -5,7 +5,8 @@ strips the elapsed_ms field, and prints "$ <argv> -> <exit code>" followed by
 the records and each stderr line prefixed "! ".  The corpus covers atlas
 under five budgets; synth on three-variable targets, on one- and
 two-variable targets, without maj5 and out of budget; verify on
-well-formed, deeply nested and malformed expressions; audit-tables,
+well-formed, deeply nested and malformed expressions; synth and verify
+under variable names the expression grammar cannot read; audit-tables,
 adders; sim on every gate and row, a 1,000-cell wire, and wires at the
 cap and one cell past it.
 Uses the package under src/ next to this script, so two checkouts
@@ -56,6 +57,9 @@ def commands():
     yield ["verify", "M(" * DEEP + "A" + ",B,C)" * DEEP, "sum(3,5,6,7)"]
     for text in MALFORMED:
         yield ["verify", text, "sum(7)"]
+    yield ["synth", "sum(4)", "--order", "0,B,C"]
+    yield ["synth", "sum(4)", "--order", "A',B,C"]
+    yield ["verify", "M(0,B,C)", "sum(3)", "--order", "0,B,C"]
     yield ["audit-tables"]
     yield ["adders"]
     for gate, arity in SIM_ARITY.items():
