@@ -82,7 +82,7 @@ def _cost_fields(c) -> dict:
 
 
 def _names(args) -> list[str]:
-    names = [n for n in args.order.split(",") if n]
+    names = args.order.split(",")
     return check_names(names, len(names))
 
 
@@ -298,9 +298,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _parser
+    if _parser is None:     # built on first use, so import stays cheap
+        _parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     start = time.perf_counter()

@@ -6,39 +6,51 @@ set, which holds the constants, the literals in both polarities, and
 every gate already in the chain.  Inverters therefore appear only on
 inputs; that loses no generality because inversion commutes with
 majority (push any interior inverter toward the leaves) and it keeps the
-candidate set closed.
+candidate set closed.  Truth tables are kept in the int form of
+truthtable.py, and algebraically trivial operand multisets are never
+tried (a repeated majority operand beyond what a five-input pair
+exploits, both constants at once, or a complementary literal pair).
 
-Each level makes one pass with one gate enumerator, _gates.  It first
-scans every state for gates whose table is still unsolved, then grows
-every state by each gate that computes a function new to its chain,
-keeping the first chain per (table, depth) profile.  Both uses skip
-gates deeper than max_levels.  A solving gate's network is its whole
-chain, so the levels stop at the most gates a cone of max_levels depth
-can hold and a tight level budget ends the search early.  Truth tables
-are kept in the int form of truthtable.py, and algebraically trivial
-operand multisets are never tried (a repeated majority operand beyond
-what a five-input pair exploits, both constants at once, or a
-complementary literal pair).
+The states of a level come in groups of one parent chain's children,
+which differ only in their newest gate g.  Each level builds one row
+table, _Rows: every operand tuple evaluated for all parents at once, one
+byte lane per parent.  A tuple without g is a fixed table.  A tuple with
+g is a Shannon pair (lo, hi), its tables with g at 0 and at 1; majority
+is monotone, so a child whose g has table gt makes (gt & hi) | lo, two
+bit operations per child.  Both passes of a level read this table:
+
+- The scan looks for gates whose table is an unsolved target.  Only
+  tuples holding g can make one (see run).  A pair makes target T for
+  some child only if lo <= T <= hi, which one test checks for every
+  parent, and the children that do make T are looked up by table.
+- The growth step extends every state by each gate of a function new to
+  its chain and shallower than max_levels, in tuple order, and keeps the
+  first chain per (table, depth) profile.
+
+A solving gate's network is its whole chain, so the levels stop at the
+most gates a cone of max_levels depth can hold, and a tight level budget
+ends the search early.
 
 Among the networks that realize a target with the fewest majority gates,
 the result minimizes (gate_count, levels, inverter_count) and finally the
-serialized text: each level keeps (key, network, text) per table, and a
-candidate's network is built only when its key ties or beats the
-incumbent's.  Repeated runs therefore return byte-identical answers.  An
-exhaustive check over all 256 three-variable functions confirms that no
-network inside the default budget beats the returned one on that cost
-tuple at a deeper level either.  A target that cannot be reached inside
-the budget yields None rather than an exception.
+serialized text.  The scan keeps every candidate that ties the best key,
+writes the to_text form of each straight from its chain, and builds a
+Network only for the winner.  Repeated runs therefore return
+byte-identical answers.  An exhaustive check over all 256 three-variable
+functions confirms that no network inside the default budget beats the
+returned one on that cost tuple at a deeper level either.  A target that
+cannot be reached inside the budget yields None rather than an
+exception.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .network import (CostReport, Network, NetworkBuilder, cost, format_expr,
-                      to_text)
+from .network import CostReport, Network, cost, format_expr, from_text
 from .truthtable import TruthTable, format_minterms, maj3, maj5, var_table
 
 SYNTH_MAX_VARS = 3
@@ -64,13 +76,115 @@ class SearchBudget:
             raise ValueError(f"max_levels must be >= 0, got {self.max_levels}")
 
 
-class _Gate:
-    __slots__ = ("children", "table", "depth")
+_BYTE = 0xFF    # a table of up to three variables fits one byte
 
-    def __init__(self, children, table, depth):
-        self.children = children    # candidate indices
-        self.table = table
-        self.depth = depth
+
+class _Chain:
+    """A search state: a chain of gates, held as their operand tuples,
+    tables and depths, and every operand index it uses as one bit.  A
+    gate's code is its table | depth << 8; `codes` holds the code each of
+    the chain's growth rows makes, two bytes per row, and the operand
+    tuple of a child's newest gate is the first row with its code."""
+
+    __slots__ = ("gates", "tables", "depths", "used", "codes")
+
+    def __init__(self, gates, tables, depths, used):
+        self.gates, self.tables, self.depths = gates, tables, depths
+        self.used = used
+        self.codes = b""
+
+    def profile(self) -> frozenset:
+        return frozenset(t | d << 8 for t, d in zip(self.tables, self.depths))
+
+
+def _bits(xs) -> int:
+    return sum(1 << x for x in set(xs))
+
+
+def _lanes(raw: bytes) -> memoryview:
+    """The 16-bit little-endian lanes of raw, as ints."""
+    if sys.byteorder == "big":
+        swapped = bytearray(len(raw))
+        swapped[0::2], swapped[1::2] = raw[1::2], raw[0::2]
+        raw = swapped
+    return memoryview(raw).cast("H")
+
+
+def _first_row(codes: bytes, code: int) -> int:
+    """The first 16-bit little-endian lane of codes that holds code."""
+    needle = code.to_bytes(2, "little")
+    at = codes.index(needle)
+    while at & 1:       # a match across two lanes
+        at = codes.index(needle, at + 1)
+    return at >> 1
+
+
+def _pairs(even: bytes, odd: bytes) -> int:
+    """The int whose 16-bit lanes hold even[r] | odd[r] << 8."""
+    both = bytearray(2 * len(even))
+    both[0::2], both[1::2] = even, odd
+    return int.from_bytes(both, "little")
+
+
+class _Rows:
+    """One level's row table: every operand tuple evaluated for every
+    parent chain at once, one byte lane per parent.
+
+    The children of a parent differ only in their newest gate g.  A row
+    whose tuple holds g is the Shannon pair (lo, hi): the tuple's table
+    with g at 0 and at 1.  Majority is monotone, so lo is inside hi and a
+    child with table gt makes (gt & hi) | lo.  A row without g is a fixed
+    table t, kept as lo = hi = t so that the same formula gives t.  The
+    scan reads only the pairs, so the fixed rows wait for growth.
+    """
+
+    def __init__(self, searcher, combos, parents, level):
+        self.combos = combos
+        self.nbase = searcher.nbase
+        self.np = np = len(parents)
+        self.ones = ones = int.from_bytes(b"\x01" * np, "little")
+        # the candidates' tables, one lane per parent; g comes last
+        self.lanes = [t * ones for t in searcher.base_tables] + [
+            int.from_bytes(bytes(p.tables[j] for p in parents), "little")
+            for j in range(level - 2)]
+        g = len(self.lanes) if level > 1 else None
+        # at level 1 there is no g and every gate is new, so all rows scan
+        self.scan = [r for r, combo in enumerate(combos)
+                     if g is None or g in combo]
+        self.lo, self.hi = [None] * len(combos), [None] * len(combos)
+        at_0 = self.lanes + [0]
+        at_1 = self.lanes + [searcher.mask * ones]
+        for r in self.scan:
+            fn = maj3 if len(combos[r]) == 3 else maj5
+            self.lo[r] = fn(*[at_0[x] for x in combos[r]])
+            self.hi[r] = fn(*[at_1[x] for x in combos[r]])
+        self._bytes = None
+        self._depths: dict[tuple, bytes] = {}
+
+    def parent(self, i: int) -> tuple[bytes, bytes]:
+        """Every row's lo and hi for parent i, a byte each."""
+        if self._bytes is None:
+            for r, combo in enumerate(self.combos):
+                if self.lo[r] is None:
+                    fn = maj3 if len(combo) == 3 else maj5
+                    self.lo[r] = self.hi[r] = fn(
+                        *[self.lanes[x] for x in combo])
+            self._bytes = [b"".join(v.to_bytes(self.np, "little")
+                                    for v in half)
+                           for half in (self.lo, self.hi)]
+        return self._bytes[0][i::self.np], self._bytes[1][i::self.np]
+
+    def depths(self, depths: tuple) -> bytes:
+        """Every row's gate depth when the chain's gates, g last, have
+        these depths."""
+        got = self._depths.get(depths)
+        if got is None:
+            nbase = self.nbase
+            got = self._depths[depths] = bytes(
+                1 + max([depths[x - nbase] for x in combo if x >= nbase],
+                        default=0)
+                for combo in self.combos)
+        return got
 
 
 class _Searcher:
@@ -86,78 +200,207 @@ class _Searcher:
         tables += [t ^ self.mask for t in tables[2:2 + n_vars]]
         self.base_tables = tables
         self.nbase = len(tables)
-        self.neg_range = range(2 + n_vars, 2 + 2 * n_vars)
+        self.neg_bits = _bits(range(2 + n_vars, 2 + 2 * n_vars))
 
     # ---- candidate enumeration -----------------------------------------
 
-    def _bad_multiset(self, ids: set[int]) -> bool:
-        if {0, 1} <= ids:
-            return True
-        for i in self.neg_range:
-            if i in ids and i - self.n in ids:
-                return True
-        return False
+    def _combos(self, ncand: int) -> list[tuple]:
+        """Admissible operand index tuples over ncand candidates: maj3
+        triples, then maj5 quintuples, then one operand twice plus three
+        distinct others (a triple or a second pair would collapse to a
+        smaller gate), each in lexicographic order.  A tuple holding both
+        constants, or a literal and its complement, is left out."""
+        n = self.n
+        kind = [0, 0] + [1 + i for i in range(n)] * 2 + list(
+            range(self.nbase, ncand))
+        kind = kind.__getitem__
 
-    def _combos(self, ncand: int):
-        """Admissible operand index tuples over ncand candidates."""
-        m3 = [c for c in itertools.combinations(range(ncand), 3)
-              if not self._bad_multiset(set(c))]
-        m5 = []
+        def ok(c):
+            return len({*map(kind, c)}) == len(c)
+
+        out = [c for c in itertools.combinations(range(ncand), 3) if ok(c)]
         if self.budget.allow_maj5:
-            for c in itertools.combinations(range(ncand), 5):
-                if not self._bad_multiset(set(c)):
-                    m5.append(c)
-            # one operand twice plus three distinct others; a triple or a
-            # second pair would collapse to a smaller gate
+            out += [c for c in itertools.combinations(range(ncand), 5)
+                    if ok(c)]
             for p in range(ncand):
                 rest = [x for x in range(ncand) if x != p]
-                for c in itertools.combinations(rest, 3):
-                    if not self._bad_multiset(set(c) | {p}):
-                        m5.append((p, p) + c)
-        return m3, m5
-
-    def _gates(self, chain, m3, m5, wanted):
-        """Gates over the chain's candidates whose table is new to the
-        chain, in `wanted`, and within max_levels."""
-        cand = self.base_tables + [g.table for g in chain]
-        have = set(cand)
-        nbase = self.nbase
-        max_levels = self.budget.max_levels
-        for combos, fn in ((m3, maj3), (m5, maj5)):
-            for combo in combos:
-                t = fn(*(cand[x] for x in combo))
-                if t in have or t not in wanted:
-                    continue
-                depth = 1 + max(
-                    (chain[x - nbase].depth if x >= nbase else 0)
-                    for x in combo
-                )
-                if depth <= max_levels:
-                    yield _Gate(combo, t, depth)
+                out += [(p, p) + c for c in itertools.combinations(rest, 3)
+                        if ok((p,) + c)]
+        return out
 
     # ---- solution bookkeeping ------------------------------------------
 
-    def _network(self, chain, root: int) -> Network:
-        """Every gate of the chain as a Network with output `root`."""
-        b = NetworkBuilder(self.n)
-        ids: dict[int, int] = {}
+    def _text(self, gates, root: int) -> str:
+        """to_text of the network NetworkBuilder makes from the chain's
+        operand tuples with output `root`, written without building it."""
+        n, nbase = self.n, self.nbase
+        lines = [f"network {n}"]
+        ids: dict[str, int] = {}
+
+        def intern(node: str) -> int:
+            got = ids.get(node)
+            if got is None:
+                got = ids[node] = len(ids)
+                lines.append(f"{got} {node}")
+            return got
 
         def resolve(ci: int) -> int:
-            if ci >= self.nbase:
-                return ids[ci]
-            if ci in (0, 1):
-                return b.const(ci)
-            if ci in self.neg_range:
-                return b.invert(b.input(ci - 2 - self.n))
-            return b.input(ci - 2)
+            if ci >= nbase:
+                return gate_ids[ci - nbase]
+            if ci < 2:
+                return intern(f"const {ci}")
+            if ci >= 2 + n:
+                return intern(f"not {intern(f'input {ci - 2 - n}')}")
+            return intern(f"input {ci - 2}")
 
-        for j, g in enumerate(chain):
-            children = [resolve(ci) for ci in g.children]
-            ids[self.nbase + j] = (b.maj5(*children) if len(children) == 5
-                                   else b.maj3(*children))
-        return b.build(resolve(root))
+        gate_ids: list[int] = []
+        for combo in gates:
+            args = " ".join([str(resolve(ci)) for ci in combo])
+            gate_ids.append(intern(f"maj{len(combo)} {args}"))
+        lines.append(f"output {resolve(root)}")
+        return "\n".join(lines) + "\n"
 
     # ---- the search ------------------------------------------------------
+
+    def _child(self, p, c, prev_combos) -> _Chain:
+        """The chain of parent p's child whose newest gate has code c;
+        code 0, which no gate has, adds none."""
+        if not c:
+            return p
+        combo = prev_combos[_first_row(p.codes, c)]
+        return _Chain(p.gates + (combo,), p.tables + (c & _BYTE,),
+                      p.depths + (c >> 8,), p.used | _bits(combo))
+
+    def _scan(self, level, groups, rows, prev_combos, unsolved):
+        """The text of the best network per target that a gate of this
+        level solves.  A row's pair can make target T only if lo <= T <=
+        hi, which one test checks for every parent; the children whose
+        table makes T are then looked up by table."""
+        mask, ones, nbase = self.mask, rows.ones, self.nbase
+        kid_depths = [d << 8 for d in range(1, level)] if level > 1 else [0]
+        kid_codes: dict[int, set] = {}
+        kids: dict[tuple, _Chain] = {}
+        found: dict[int, tuple] = {}    # target -> (key, tied chains)
+        for target in unsolved:
+            many = target * ones
+            for r in rows.scan:
+                # a lane stays nonzero where the parent's pair misses T
+                miss = rows.lo[r] & ~many | many & ~rows.hi[r]
+                miss |= miss >> 4
+                miss |= miss >> 2
+                miss |= miss >> 1
+                fits = ones & ~miss
+                while fits:
+                    low = fits & -fits
+                    fits ^= low
+                    i = low.bit_length() >> 3
+                    lo = rows.lo[r] >> (i << 3) & _BYTE
+                    m = rows.hi[r] >> (i << 3) & _BYTE ^ lo   # g matters
+                    codes = kid_codes.get(i)
+                    if codes is None:
+                        codes = kid_codes[i] = set(groups[i][1])
+                    # every child table that agrees with T on m
+                    want, free = target & m, mask ^ m
+                    x = free
+                    while True:
+                        for d in kid_depths:
+                            c = want | x | d
+                            if c in codes:
+                                kid = kids.get((i, c))
+                                if kid is None:
+                                    kid = kids[i, c] = self._child(
+                                        groups[i][0], c, prev_combos)
+                                self._offer(level, kid, rows.combos[r],
+                                            target, found)
+                        if not x:
+                            break
+                        x = (x - 1) & free
+        root = nbase + level - 1
+        return {t: min(self._text(chain, root) for chain in chains)
+                for t, (_, chains) in found.items()}
+
+    def _offer(self, level, kid, combo, target, found):
+        """Record kid grown by the gate `combo` as a way to make target if
+        it ties or beats the best key so far."""
+        if target in kid.tables:
+            return
+        nbase = self.nbase
+        depth = 1 + max([kid.depths[x - nbase] for x in combo if x >= nbase],
+                        default=0)
+        if depth > self.budget.max_levels:
+            return
+        ninv = ((kid.used | _bits(combo)) & self.neg_bits).bit_count()
+        key = (level + ninv, depth, ninv)
+        best = found.get(target)
+        if best is None or key < best[0]:
+            found[target] = (key, [kid.gates + (combo,)])
+        elif key == best[0]:
+            best[1].append(kid.gates + (combo,))
+
+    def _grow(self, level, groups, rows, prev_combos):
+        """Every state grown by each gate of a function new to its chain
+        and of depth below max_levels (no gate could take it as an
+        operand); the first state per (table, depth) profile stands for
+        all of them.  Returns the next level's groups."""
+        depth_range = range(1, level + 1)
+        base_codes = {t | d << 8 for t in self.base_tables
+                      for d in depth_range}
+        # a row too deep for an operand makes code 0, which no gate has
+        shallow = bytes(0xFF if d < self.budget.max_levels else 0
+                        for d in range(256))
+        count = len(rows.combos)
+        ones = int.from_bytes(b"\x01\x00" * count, "little")
+        profiles = [p.profile() for p, _ in groups]
+        # two states' keys can meet only on a code of some profile; each
+        # such code gets a bit, and a key ORs its codes' bits
+        shared = set().union(*profiles)
+        for _, kids in groups:
+            shared.update(kids)
+        bit = {x: 1 << j for j, x in enumerate(shared)}
+        seen: set[int] = set()
+        out = []
+        for i, (p, kids) in enumerate(groups):
+            lo, hi = rows.parent(i)
+            hi = _pairs(hi, bytes(count))
+            by_depth: dict[int, tuple] = {}
+            drop = base_codes.union([t | d << 8 for t in p.tables
+                                     for d in depth_range])
+            bits = sum(bit[x] for x in profiles[i])
+            for k, c in enumerate(kids):
+                kid = self._child(p, c, prev_combos)
+                t, d = c & _BYTE, c >> 8
+                if d not in by_depth:
+                    gate_depths = rows.depths(kid.depths)
+                    keep = gate_depths.translate(shallow)
+                    by_depth[d] = (_pairs(lo, gate_depths), _pairs(keep, keep))
+                lo_d, keep_d = by_depth[d]
+                codes = ((t * ones & hi | lo_d) & keep_d).to_bytes(
+                    2 * count, "little")
+                fresh = dict.fromkeys(_lanes(codes))
+                fresh.pop(0, None)
+                for x in drop:
+                    fresh.pop(x, None)
+                for e in depth_range:
+                    fresh.pop(t | e << 8, None)
+                # two siblings each make the other's code (their rows
+                # without g are their parent's growth rows), so the
+                # earlier one made their key first
+                for x in kids[:k]:
+                    fresh.pop(x, None)
+                # a key holding a code y of the parent's profile may also
+                # come from the state that lacks y, in another group
+                if bits:
+                    bits_c = bits | bit[c]
+                    for x in shared.intersection(fresh):
+                        key = bits_c | bit[x]
+                        if key in seen:
+                            del fresh[x]
+                        else:
+                            seen.add(key)
+                if fresh:
+                    kid.codes = codes
+                    out.append((kid, list(fresh)))
+        return out
 
     def run(self, targets: set[int]) -> dict[int, Network]:
         solutions: dict[int, Network] = {}
@@ -166,7 +409,7 @@ class _Searcher:
         # depth 0: constants and literals (their tables are all distinct)
         for idx, t in enumerate(self.base_tables):
             if t in unsolved:
-                solutions[t] = self._network((), idx)
+                solutions[t] = from_text(self._text((), idx))
         unsolved -= solutions.keys()
         if not unsolved:
             return solutions
@@ -175,8 +418,9 @@ class _Searcher:
         # gates in its cone.  Else the cone's gates, in chain order, form a
         # shorter chain whose (table, depth) profile growth kept, and a
         # scan there with the same operands would have solved it sooner.
-        # So _network and ninv take the whole chain, and a cone of depth
-        # max_levels holds at most 1 + f + ... + f^(max_levels-1) gates
+        # So the network is the whole chain, the scan needs only tuples
+        # holding the newest gate, and a cone of depth max_levels holds at
+        # most 1 + f + ... + f^(max_levels-1) gates
         fan_in = 5 if self.budget.allow_maj5 else 3
         top, width = 0, 1
         for _ in range(self.budget.max_levels):
@@ -185,40 +429,21 @@ class _Searcher:
             top, width = top + width, width * fan_in
         top = min(top, self.budget.max_gates)
 
-        states: list[tuple] = [()]       # chains of _Gate, level 0
-        every_table = range(self.mask + 1)
+        # states in groups of one parent's children, each child a code;
+        # level 1 has one state, the empty chain
+        groups: list[tuple] = [(_Chain((), (), (), 0), [0])]
+        prev_combos: list = []
         for level in range(1, top + 1):
-            m3, m5 = self._combos(self.nbase + level - 1)
-            root = self.nbase + level - 1
-            best: dict[int, tuple] = {}     # table -> (key, net, text)
-            for chain in states:
-                for gate in self._gates(chain, m3, m5, unsolved):
-                    grown = chain + (gate,)
-                    ninv = len({ci for g in grown for ci in g.children
-                                if ci in self.neg_range})
-                    key = (level + ninv, gate.depth, ninv)
-                    cur = best.get(gate.table)
-                    if cur is not None and key > cur[0]:
-                        continue
-                    net = self._network(grown, root)
-                    text = to_text(net)
-                    if cur is None or key < cur[0] or text < cur[2]:
-                        best[gate.table] = (key, net, text)
-            for t, (_, net, _) in best.items():
-                solutions[t] = net
+            combos = self._combos(self.nbase + level - 1)
+            rows = _Rows(self, combos, [p for p, _ in groups], level)
+            best = self._scan(level, groups, rows, prev_combos, unsolved)
+            for t, text in best.items():
+                solutions[t] = from_text(text)
             unsolved -= best.keys()
             if not unsolved or level == top:
                 break
-            # grow every chain by one new-function gate; the first chain
-            # per (table, depth) profile stands for all of them
-            grown_states: dict = {}
-            for chain in states:
-                profile = tuple((g.table, g.depth) for g in chain)
-                for gate in self._gates(chain, m3, m5, every_table):
-                    key = frozenset(profile + ((gate.table, gate.depth),))
-                    if key not in grown_states:
-                        grown_states[key] = chain + (gate,)
-            states = list(grown_states.values())
+            groups = self._grow(level, groups, rows, prev_combos)
+            prev_combos = combos
         return solutions
 
 

@@ -129,9 +129,10 @@ def maj3(a: int, b: int, c: int) -> int:
 
 
 def maj5(a: int, b: int, c: int, d: int, e: int) -> int:
-    return ((a & b & c) | (a & b & d) | (a & b & e) | (a & c & d)
-            | (a & c & e) | (a & d & e) | (b & c & d) | (b & c & e)
-            | (b & d & e) | (c & d & e))
+    # a and b both set need one of c, d, e; one of them needs two; none
+    # needs all three
+    cd = c & d
+    return (a & b & (c | d | e)) | ((a | b) & (cd | (c | d) & e)) | (cd & e)
 
 
 # the longest prefix that some well-formed set extends; a text is well

@@ -193,6 +193,33 @@ def test_sim_wire_length_flag(capsys):
     assert len(rows) == 8
 
 
+def test_back_to_back_calls_do_not_leak_options(capsys):
+    # one parser serves every call in a process
+    code, out, _ = run(capsys, "sim", "wire", "1", "--length", "7",
+                       "--format", "records")
+    assert code == 0
+    assert len(records(out)[2]) == 7
+    code, out, _ = run(capsys, "sim", "wire", "1", "--format", "records")
+    assert code == 0
+    assert len(records(out)[2]) == 5
+    code, out, _ = run(capsys, "sim", "wire", "1")
+    assert code == 0
+    assert out.startswith("qcamaj sim")
+
+
+def test_empty_order_names_exit_two(capsys):
+    for argv in (
+        ["verify", "M(A,B,C)", "sum(3,5,6,7)", "--order", "A,,B,C"],
+        ["verify", "M(A,B,C)", "sum(3,5,6,7)", "--order", ","],
+        ["synth", "sum(1,6)", "--order", ","],
+        ["synth", "sum(1,6)", "--order", "A,B,C,"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert ("qcamaj: error: variable name '' must be a letter or _ "
+                "followed by letters, digits or _") in err, argv
+
+
 def test_sim_wire_past_the_cap_exits_two(capsys):
     code, out, err = run(capsys, "sim", "wire", "1", "--length", "4097")
     assert code == 2

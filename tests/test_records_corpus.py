@@ -11,13 +11,10 @@ import importlib.util
 import io
 from pathlib import Path
 
-import pytest
-
 CORPUS = Path(__file__).resolve().parent.parent / "tools" / "records_corpus.py"
 FROZEN = "11ce756d51ecefd97220cb358d183c59c1bbfefaa0455c968974c079ff73e3c8"
 
 
-@pytest.mark.slow
 def test_records_corpus_is_frozen():
     spec = importlib.util.spec_from_file_location("records_corpus", CORPUS)
     corpus = importlib.util.module_from_spec(spec)

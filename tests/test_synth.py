@@ -5,6 +5,7 @@ import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcamaj import (
     SearchBudget,
@@ -19,6 +20,8 @@ from qcamaj import (
 )
 from qcamaj.errors import CapacityError
 from qcamaj.network import reachable
+from qcamaj.synth import _Rows, _Searcher
+from qcamaj.truthtable import maj3, maj5
 
 import _oracles
 
@@ -101,13 +104,17 @@ def test_parity_needs_two_majority_gates(atlas):
 
 
 def test_single_target_matches_atlas_and_is_deterministic(atlas):
-    sample = [0, 1, 23, 105, 128, 150, 232, 255]
-    for key in sample:
-        spec = TruthTable(3, tuple((key >> k) & 1 for k in range(8)))
-        first = synthesize(spec)
-        second = synthesize(spec)
-        assert to_text(first) == to_text(second)
-        assert to_text(first) == to_text(atlas[key].network)
+    # the scan prunes rows by the wanted tables, so one target and all
+    # 256 take different paths through it
+    deep = SearchBudget(5, 5, False)
+    for budget, entries in ((SearchBudget(), atlas),
+                            (deep, synthesize_all_3var(deep))):
+        for key in range(256):
+            spec = TruthTable(3, tuple((key >> k) & 1 for k in range(8)))
+            first = synthesize(spec, budget)
+            second = synthesize(spec, budget)
+            assert to_text(first) == to_text(second)
+            assert to_text(first) == to_text(entries[key].network)
 
 
 def test_solution_is_lexicographic_minimum_on_cost(atlas, oracle_counts):
@@ -235,3 +242,41 @@ def test_no_maj5_atlas_text_is_frozen(no_maj5_atlas):
     text = atlas_to_text(no_maj5_atlas)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d9426cc91f4be7ec699f6ae30d58861795e6ae0f5d81cb058fd1e7789941e5f3")
+
+
+class _Parent:
+    def __init__(self, tables):
+        self.tables = tuple(tables)
+
+
+@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)),
+                min_size=1, max_size=4),
+       st.integers(0, 255))
+def test_shannon_pairs_match_the_majority(parents, g):
+    # level 4: two parent gates (candidates 8, 9) and the newest gate g
+    # (candidate 10), one byte lane per parent
+    searcher = _Searcher(3, SearchBudget(max_gates=4))
+    combos = searcher._combos(11)
+    rows = _Rows(searcher, combos, [_Parent(p) for p in parents], 4)
+    pair_rows = set(rows.scan)
+    shapes = set()
+    for i, tables in enumerate(parents):
+        cand = searcher.base_tables + list(tables) + [g]
+        lo_bytes, hi_bytes = rows.parent(i)
+        for r, combo in enumerate(combos):
+            want = (maj3 if len(combo) == 3 else maj5)(
+                *[cand[x] for x in combo])
+            lo, hi = lo_bytes[r], hi_bytes[r]
+            assert (g & hi) | lo == want, combo
+            if r in pair_rows:
+                assert (rows.lo[r] >> 8 * i & 0xFF, rows.hi[r] >> 8 * i
+                        & 0xFF) == (lo, hi)
+                assert lo & ~hi == 0
+                shapes.add((len(combo), combo.count(10),
+                            len(set(combo)) < len(combo)))
+            else:
+                assert lo == hi
+    # g in a maj3, once in a maj5, twice in a maj5, and beside another
+    # doubled operand
+    assert shapes == {(3, 1, False), (5, 1, False), (5, 2, True),
+                      (5, 1, True)}

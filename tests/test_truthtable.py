@@ -13,7 +13,9 @@ from qcamaj import (
     parse_minterm_spec,
 )
 from qcamaj.errors import ParseError
-from qcamaj.truthtable import var_table
+from qcamaj.truthtable import maj3, maj5, var_table
+
+import _oracles
 
 
 def test_variable_zero_is_most_significant_bit():
@@ -174,3 +176,10 @@ def test_var_table_sets_the_minterms_where_the_variable_is_one():
             expected = sum(1 << k for k in range(1 << n_vars)
                            if (k >> (n_vars - 1 - i)) & 1)
             assert var_table(n_vars, i) == expected, (n_vars, i)
+
+
+@given(st.lists(st.integers(0, 255), min_size=5, max_size=5))
+def test_majorities_agree_with_their_sums_of_products(tables):
+    a, b, c, d, e = tables
+    assert maj3(a, b, c) == _oracles.maj3_sop(a, b, c)
+    assert maj5(a, b, c, d, e) == _oracles.maj5_sop(a, b, c, d, e)

@@ -16,7 +16,7 @@ compare with
     python3 tools/records_corpus.py > b.txt     # in the other
     diff a.txt b.txt
 
-Stdlib only; the five atlas budgets make it take about 40 s.
+Stdlib only; it takes about 3 s.
 """
 
 import contextlib
