@@ -34,7 +34,6 @@ class RunReport:
     """Everything one command run wants to say, renderer-independent."""
 
     command: str
-    version: str = __version__
     fields: list[tuple[str, str]] = field(default_factory=list)
     rows: list[dict[str, str]] = field(default_factory=list)
     elapsed_ms: float = 0.0
@@ -47,7 +46,7 @@ class RunReport:
 
 
 def render_text(report: RunReport) -> str:
-    lines = [f"qcamaj {report.command}  (toolkit {report.version})"]
+    lines = [f"qcamaj {report.command}  (toolkit {__version__})"]
     width = max((len(k) for k, _ in report.fields), default=0)
     for k, v in report.fields:
         lines.append(f"  {k:<{width}}  {v}")
@@ -66,7 +65,7 @@ def render_text(report: RunReport) -> str:
 
 def render_records(report: RunReport) -> str:
     lines = [f"report command={shlex.quote(report.command)} "
-             f"version={shlex.quote(report.version)} "
+             f"version={shlex.quote(__version__)} "
              f"elapsed_ms={report.elapsed_ms:.1f}"]
     lines += [f"field {k}={shlex.quote(v)}" for k, v in report.fields]
     for r in report.rows:

@@ -264,7 +264,8 @@ def check_names(names, n_vars: int) -> list[str]:
         return [chr(ord("A") + i) for i in range(n_vars)]
     names = list(names)
     for name in names:
-        if not name or name_end(name, 0) < len(name):
+        if (not isinstance(name, str) or not name
+                or name_end(name, 0) < len(name)):
             raise ValueError(f"variable name {name!r} must be a letter or _ "
                              f"followed by letters, digits or _")
     if len(set(names)) != len(names):

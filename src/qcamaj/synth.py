@@ -7,9 +7,9 @@ every gate already in the chain.  Inverters therefore appear only on
 inputs; that loses no generality because inversion commutes with
 majority (push any interior inverter toward the leaves) and it keeps the
 candidate set closed.  Truth tables are kept in the int form of
-truthtable.py, and algebraically trivial operand multisets are never
-tried (a repeated majority operand beyond what a five-input pair
-exploits, both constants at once, or a complementary literal pair).
+truthtable.py.  Operand tuples are built once per process and omit
+trivial multisets (a repeated majority operand beyond what a five-input
+pair exploits, both constants at once, or a complementary literal pair).
 
 The states of a level come in groups of one parent chain's children,
 which differ only in their newest gate g.  Each level builds one row
@@ -70,13 +70,17 @@ class SearchBudget:
     allow_maj5: bool = True
 
     def __post_init__(self):
-        if self.max_gates < 0:
-            raise ValueError(f"max_gates must be >= 0, got {self.max_gates}")
-        if self.max_levels < 0:
-            raise ValueError(f"max_levels must be >= 0, got {self.max_levels}")
+        for name in ("max_gates", "max_levels"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+        if type(self.allow_maj5) is not bool:
+            raise ValueError(f"allow_maj5 must be a bool, got "
+                             f"{self.allow_maj5!r}")
 
 
 _BYTE = 0xFF    # a table of up to three variables fits one byte
+_COMBOS: dict[tuple, list] = {}     # _Searcher._combos, built on first use
 
 
 class _Chain:
@@ -210,7 +214,10 @@ class _Searcher:
         distinct others (a triple or a second pair would collapse to a
         smaller gate), each in lexicographic order.  A tuple holding both
         constants, or a literal and its complement, is left out."""
-        n = self.n
+        n, maj5_ok = self.n, self.budget.allow_maj5
+        out = _COMBOS.get((n, ncand, maj5_ok))
+        if out is not None:
+            return out
         kind = [0, 0] + [1 + i for i in range(n)] * 2 + list(
             range(self.nbase, ncand))
         kind = kind.__getitem__
@@ -219,13 +226,14 @@ class _Searcher:
             return len({*map(kind, c)}) == len(c)
 
         out = [c for c in itertools.combinations(range(ncand), 3) if ok(c)]
-        if self.budget.allow_maj5:
+        if maj5_ok:
             out += [c for c in itertools.combinations(range(ncand), 5)
                     if ok(c)]
             for p in range(ncand):
                 rest = [x for x in range(ncand) if x != p]
                 out += [(p, p) + c for c in itertools.combinations(rest, 3)
                         if ok((p,) + c)]
+        _COMBOS[n, ncand, maj5_ok] = out
         return out
 
     # ---- solution bookkeeping ------------------------------------------
@@ -262,23 +270,23 @@ class _Searcher:
 
     # ---- the search ------------------------------------------------------
 
-    def _child(self, p, c, prev_combos) -> _Chain:
+    def _child(self, p, c) -> _Chain:
         """The chain of parent p's child whose newest gate has code c;
         code 0, which no gate has, adds none."""
         if not c:
             return p
-        combo = prev_combos[_first_row(p.codes, c)]
+        combo = self._combos(self.nbase + len(p.gates))[
+            _first_row(p.codes, c)]
         return _Chain(p.gates + (combo,), p.tables + (c & _BYTE,),
                       p.depths + (c >> 8,), p.used | _bits(combo))
 
-    def _scan(self, level, groups, rows, prev_combos, unsolved):
+    def _scan(self, level, groups, rows, unsolved):
         """The text of the best network per target that a gate of this
         level solves.  A row's pair can make target T only if lo <= T <=
         hi, which one test checks for every parent; the children whose
         table makes T are then looked up by table."""
         mask, ones, nbase = self.mask, rows.ones, self.nbase
         kid_depths = [d << 8 for d in range(1, level)] if level > 1 else [0]
-        kid_codes: dict[int, set] = {}
         kids: dict[tuple, _Chain] = {}
         found: dict[int, tuple] = {}    # target -> (key, tied chains)
         for target in unsolved:
@@ -296,9 +304,7 @@ class _Searcher:
                     i = low.bit_length() >> 3
                     lo = rows.lo[r] >> (i << 3) & _BYTE
                     m = rows.hi[r] >> (i << 3) & _BYTE ^ lo   # g matters
-                    codes = kid_codes.get(i)
-                    if codes is None:
-                        codes = kid_codes[i] = set(groups[i][1])
+                    p, codes = groups[i]
                     # every child table that agrees with T on m
                     want, free = target & m, mask ^ m
                     x = free
@@ -308,10 +314,9 @@ class _Searcher:
                             if c in codes:
                                 kid = kids.get((i, c))
                                 if kid is None:
-                                    kid = kids[i, c] = self._child(
-                                        groups[i][0], c, prev_combos)
-                                self._offer(level, kid, rows.combos[r],
-                                            target, found)
+                                    kid = kids[i, c] = self._child(p, c)
+                                self._offer(level, kid, rows, r, target,
+                                            found)
                         if not x:
                             break
                         x = (x - 1) & free
@@ -319,25 +324,19 @@ class _Searcher:
         return {t: min(self._text(chain, root) for chain in chains)
                 for t, (_, chains) in found.items()}
 
-    def _offer(self, level, kid, combo, target, found):
-        """Record kid grown by the gate `combo` as a way to make target if
+    def _offer(self, level, kid, rows, r, target, found):
+        """Record kid grown by the gate of row r as a way to make target if
         it ties or beats the best key so far."""
-        if target in kid.tables:
-            return
-        nbase = self.nbase
-        depth = 1 + max([kid.depths[x - nbase] for x in combo if x >= nbase],
-                        default=0)
-        if depth > self.budget.max_levels:
-            return
+        combo = rows.combos[r]
         ninv = ((kid.used | _bits(combo)) & self.neg_bits).bit_count()
-        key = (level + ninv, depth, ninv)
+        key = (level + ninv, rows.depths(kid.depths)[r], ninv)
         best = found.get(target)
         if best is None or key < best[0]:
             found[target] = (key, [kid.gates + (combo,)])
         elif key == best[0]:
             best[1].append(kid.gates + (combo,))
 
-    def _grow(self, level, groups, rows, prev_combos):
+    def _grow(self, level, groups, rows):
         """Every state grown by each gate of a function new to its chain
         and of depth below max_levels (no gate could take it as an
         operand); the first state per (table, depth) profile stands for
@@ -367,7 +366,7 @@ class _Searcher:
                                      for d in depth_range])
             bits = sum(bit[x] for x in profiles[i])
             for k, c in enumerate(kids):
-                kid = self._child(p, c, prev_combos)
+                kid = self._child(p, c)
                 t, d = c & _BYTE, c >> 8
                 if d not in by_depth:
                     gate_depths = rows.depths(kid.depths)
@@ -385,7 +384,7 @@ class _Searcher:
                 # two siblings each make the other's code (their rows
                 # without g are their parent's growth rows), so the
                 # earlier one made their key first
-                for x in kids[:k]:
+                for x in itertools.islice(kids, k):
                     fresh.pop(x, None)
                 # a key holding a code y of the parent's profile may also
                 # come from the state that lacks y, in another group
@@ -399,7 +398,7 @@ class _Searcher:
                             seen.add(key)
                 if fresh:
                     kid.codes = codes
-                    out.append((kid, list(fresh)))
+                    out.append((kid, fresh))
         return out
 
     def run(self, targets: set[int]) -> dict[int, Network]:
@@ -420,7 +419,10 @@ class _Searcher:
         # scan there with the same operands would have solved it sooner.
         # So the network is the whole chain, the scan needs only tuples
         # holding the newest gate, and a cone of depth max_levels holds at
-        # most 1 + f + ... + f^(max_levels-1) gates
+        # most 1 + f + ... + f^(max_levels-1) gates.  No chain gate's table
+        # is an unsolved target: a scan by that gate's level solved it.
+        # Growth keeps only gates shallower than max_levels, so a gate the
+        # scan offers is at most max_levels deep
         fan_in = 5 if self.budget.allow_maj5 else 3
         top, width = 0, 1
         for _ in range(self.budget.max_levels):
@@ -431,19 +433,17 @@ class _Searcher:
 
         # states in groups of one parent's children, each child a code;
         # level 1 has one state, the empty chain
-        groups: list[tuple] = [(_Chain((), (), (), 0), [0])]
-        prev_combos: list = []
+        groups: list[tuple] = [(_Chain((), (), (), 0), {0: None})]
         for level in range(1, top + 1):
             combos = self._combos(self.nbase + level - 1)
             rows = _Rows(self, combos, [p for p, _ in groups], level)
-            best = self._scan(level, groups, rows, prev_combos, unsolved)
+            best = self._scan(level, groups, rows, unsolved)
             for t, text in best.items():
                 solutions[t] = from_text(text)
             unsolved -= best.keys()
             if not unsolved or level == top:
                 break
-            groups = self._grow(level, groups, rows, prev_combos)
-            prev_combos = combos
+            groups = self._grow(level, groups, rows)
         return solutions
 
 

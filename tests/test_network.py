@@ -319,7 +319,7 @@ def test_names_are_accepted_exactly_when_the_text_reads_them_back(net, names):
 def test_format_expr_refuses_names_parse_expr_refuses():
     net = parse_expr("M(A,B,C)", NAMES)
     for names in (["X", "X", "Y"], ["0", "B", "C"], ["A'", "B", "C"],
-                  ["A B", "C", "D"]):
+                  ["A B", "C", "D"], [1, "B", "C"]):
         with pytest.raises(ValueError):
             parse_expr("M(X,B,C)", names)
         with pytest.raises(ValueError):

@@ -193,6 +193,43 @@ def test_budget_validation():
         SearchBudget(max_gates=-1)
     with pytest.raises(ValueError):
         SearchBudget(max_levels=-1)
+    for bad in ({"max_gates": 2.5}, {"max_levels": "3"}, {"max_gates": True},
+                {"allow_maj5": "no"}, {"allow_maj5": 1}):
+        with pytest.raises(ValueError):
+            SearchBudget(**bad)
+
+
+def test_every_answer_respects_both_caps():
+    # pins the depth bound that growth alone now enforces
+    def check(net, budget):
+        c = cost(net)
+        assert c.maj3_count + c.maj5_count <= budget.max_gates, budget
+        assert c.levels <= budget.max_levels, budget
+        assert budget.allow_maj5 or c.maj5_count == 0, budget
+
+    for maj5 in (True, False):
+        for gates in range(7):
+            for levels in range(6):
+                budget = SearchBudget(gates, levels, maj5)
+                for n in (1, 2):
+                    for t in range(1 << (1 << n)):
+                        net = synthesize(TruthTable.from_int(n, t), budget)
+                        if net is not None:
+                            check(net, budget)
+        for gates in (2, 3, 4):
+            for levels in (1, 2):
+                budget = SearchBudget(gates, levels, maj5)
+                for e in synthesize_all_3var(budget):
+                    if e.network is not None:
+                        check(e.network, budget)
+
+
+def test_operand_tuples_are_built_once_per_key():
+    full = _Searcher(3, SearchBudget())._combos(9)
+    assert _Searcher(3, SearchBudget(2, 1))._combos(9) is full
+    no_maj5 = _Searcher(3, SearchBudget(allow_maj5=False))._combos(9)
+    assert no_maj5 != full and {len(c) for c in no_maj5} == {3}
+    assert _Searcher(2, SearchBudget())._combos(9) != full
 
 
 def test_synthesized_networks_only_invert_inputs(atlas):
