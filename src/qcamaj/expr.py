@@ -7,114 +7,134 @@ Grammar, with postfix apostrophe binding tightest:
               | "M5" "(" expr "," expr "," expr "," expr "," expr ")"
     variable := (letter | "_") (letter | digit | "_")*
 
-Letters and digits are what str.isalpha and str.isalnum accept, so "é"
-is a letter.  Gate names are recognized case-insensitively when followed
-by an opening parenthesis; any other identifier must be one of the
-declared variable names, which network.check_names holds to the
-variable rule.  Whitespace may appear between tokens.  Parse failures
-raise ParseError carrying the character offset.
+Tokens, read left to right with whitespace (str.isspace, so "\x1c" too)
+allowed between them:
+
+- a symbol: ( ) , '
+- a name: a letter (str.isalpha, so "é") or "_", then letters, digits
+  or "_" (str.isalnum, so "x²" is one name);
+- a digit run: characters str.isdigit accepts, so "1²" is one token.
+
+Any other character where a token starts ("#", or a number such as "½"
+that is no digit) is a bad character, and a bad character anywhere in
+the text is reported before any grammar error.  Gate names are
+recognized case-insensitively when followed by an opening parenthesis;
+any other identifier must be one of the declared variable names, which
+network.check_names holds to the variable rule.  Parse failures raise
+ParseError carrying the character offset.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
+
 from .errors import ParseError, UnknownVariableError
-from .network import Network, NetworkBuilder, check_names, name_end
+from .network import Network, NetworkBuilder, check_names
 
 _SYMBOLS = "(),'"
 _ARITY = {"M": 3, "M5": 5}
 
-
-class _Token:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str, pos: int):
-        self.text = text
-        self.pos = pos
+# a symbol, a digit run, a name or a bad character (a \w+ match that
+# starts with a number that is no digit, such as "½", is one too); \s, \d
+# and \w are str.isspace, str.isdecimal and str.isalnum-or-"_" for str
+# patterns
+_TOKEN = re.compile(r"[(),']|\d+|\w+|\S")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, i))
-            i += 1
-            continue
-        j = name_end(text, i)
-        if j == i:
-            while j < len(text) and text[j].isdigit():
-                j += 1
-        if j == i:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        tokens.append(_Token(text[i:j], i))
-        i = j
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], str]:
+    """The token texts of `text`, and the text the token regex ran over,
+    in which every token starts where it starts in `text`."""
+    scan = text
+    if not text.isascii():
+        # \d misses digits that are not decimal ("²"); reading them as
+        # "0" makes every \d+ match a whole str.isdigit run
+        digits = {ord(c): "0" for c in set(text)
+                  if c.isdigit() and not c.isdecimal()}
+        if digits:
+            scan = text.translate(digits)
+    if scan is text:
+        tokens = _TOKEN.findall(text)
+    else:
+        tokens = [text[m.start():m.end()] for m in _TOKEN.finditer(scan)]
+    for tok in dict.fromkeys(tokens):
+        first = tok[0]
+        if not (first in _SYMBOLS or first == "_" or first.isalpha()
+                or first.isdigit()):
+            raise ParseError(f"unexpected character {first!r}",
+                             _offset(scan, tokens.index(tok)))
+    return tokens, scan
 
 
-def _parse(tokens: list[_Token], names: list[str], builder: NetworkBuilder,
-           end: int) -> int:
+def _offset(scan: str, k: int) -> int:
+    """Character offset of token k of `scan`; only errors need one."""
+    return next(itertools.islice(_TOKEN.finditer(scan), k, None)).start()
+
+
+def _parse(tokens: list[str], scan: str, names: list[str],
+           builder: NetworkBuilder) -> int:
     """The root node of the token list; open gates wait on an explicit
-    stack of (gate token, arity, children), so nesting costs no frames."""
-    stack: list[tuple[_Token, int, list[int]]] = []
+    stack of (gate token number, arity, children), so nesting costs no
+    frames."""
+    index = {name: k for k, name in enumerate(names)}
+    leaves: dict[str, int] = {}     # node id of each variable read so far
+    n = len(tokens)
+    stack: list[tuple[int, int, list[int]]] = []
     i = 0
-
-    def take() -> _Token:
-        nonlocal i
-        if i == len(tokens):
-            raise ParseError("unexpected end of expression", end)
-        i += 1
-        return tokens[i - 1]
-
     while True:
-        # one operand: a constant, a variable, or an opening gate
-        tok = take()
-        if tok.text in ("0", "1"):
-            node = builder.const(int(tok.text))
-        elif tok.text.isdigit():
-            raise ParseError(f"constants are 0 or 1, found {tok.text!r}",
-                             tok.pos)
-        elif tok.text in _SYMBOLS:
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        elif i < len(tokens) and tokens[i].text == "(":
-            arity = _ARITY.get(tok.text.upper())
-            if arity is None:
-                raise ParseError(
-                    f"unknown gate {tok.text!r}, expected M or M5", tok.pos)
+        # one operand: a variable, a constant, or an opening gate
+        if i == n:
+            raise ParseError("unexpected end of expression", len(scan))
+        tok = tokens[i]
+        i += 1
+        if tok in index and (i == n or tokens[i] != "("):
+            node = leaves.get(tok)
+            if node is None:
+                node = leaves[tok] = builder.input(index[tok])
+        elif tok == "0" or tok == "1":
+            node = builder.const(int(tok))
+        elif i < n and tokens[i] == "(" and tok.upper() in _ARITY:
+            stack.append((i - 1, _ARITY[tok.upper()], []))
             i += 1
-            stack.append((tok, arity, []))
             continue
-        elif tok.text in names:
-            node = builder.input(names.index(tok.text))
+        elif tok.isdigit():
+            raise ParseError(f"constants are 0 or 1, found {tok!r}",
+                             _offset(scan, i - 1))
+        elif tok in _SYMBOLS:
+            raise ParseError(f"unexpected {tok!r}", _offset(scan, i - 1))
+        elif i < n and tokens[i] == "(":
+            raise ParseError(f"unknown gate {tok!r}, expected M or M5",
+                             _offset(scan, i - 1))
         else:
             raise UnknownVariableError(
-                f"unknown variable {tok.text!r}, "
-                f"declared: {','.join(names)}", tok.pos)
+                f"unknown variable {tok!r}, "
+                f"declared: {','.join(names)}", _offset(scan, i - 1))
         # its complements, then every gate it closes
         while True:
-            while i < len(tokens) and tokens[i].text == "'":
+            while i < n and tokens[i] == "'":
                 i += 1
                 node = builder.invert(node)
             if not stack:
-                if i < len(tokens):
-                    raise ParseError(f"trailing input {tokens[i].text!r}",
-                                     tokens[i].pos)
+                if i < n:
+                    raise ParseError(f"trailing input {tokens[i]!r}",
+                                     _offset(scan, i))
                 return node
-            sep = take()
+            if i == n:
+                raise ParseError("unexpected end of expression", len(scan))
+            sep = tokens[i]
+            i += 1
             gate, arity, children = stack[-1]
             children.append(node)
-            if sep.text == ",":
+            if sep == ",":
                 break
-            if sep.text != ")":
-                raise ParseError(f"expected ',' or ')', found {sep.text!r}",
-                                 sep.pos)
+            if sep != ")":
+                raise ParseError(f"expected ',' or ')', found {sep!r}",
+                                 _offset(scan, i - 1))
             stack.pop()
             if len(children) != arity:
-                raise ParseError(f"{gate.text.upper()} takes {arity} "
-                                 f"operands, got {len(children)}", gate.pos)
+                raise ParseError(f"{tokens[gate].upper()} takes {arity} "
+                                 f"operands, got {len(children)}",
+                                 _offset(scan, gate))
             node = (builder.maj3 if arity == 3 else builder.maj5)(*children)
 
 
@@ -125,7 +145,8 @@ def parse_into(builder: NetworkBuilder, text: str, variable_names) -> int:
     reused, so networks built from one builder share them.
     """
     names = check_names(variable_names, builder.n_vars)
-    return _parse(_tokenize(text), names, builder, len(text))
+    tokens, scan = _tokenize(text)
+    return _parse(tokens, scan, names, builder)
 
 
 def parse_expr(text: str, variable_names) -> Network:

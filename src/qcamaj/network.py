@@ -27,6 +27,7 @@ the longest output-to-input path; inverters and constants add no depth.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ArityError, CapacityError
@@ -93,6 +94,8 @@ class NetworkBuilder:
 
     One builder may serve several outputs; networks built from it share
     the node pool, which is how multi-output designs share subterms.
+    The pool is keyed by plain (kind, args) tuples, which hash in C, and
+    a Node is made only for a node the pool does not hold yet.
     """
 
     def __init__(self, n_vars: int):
@@ -100,19 +103,19 @@ class NetworkBuilder:
             raise ValueError(f"n_vars must be positive, got {n_vars}")
         self.n_vars = n_vars
         self._nodes: list[Node] = []
-        self._interned: dict[Node, int] = {}
+        self._interned: dict[tuple[str, tuple[int, ...]], int] = {}
 
     def _intern(self, kind: str, args: tuple[int, ...]) -> int:
-        node = Node(kind, args)
-        found = self._interned.get(node)
+        key = (kind, args)
+        found = self._interned.get(key)
         if found is not None:
             return found
         for c in args if kind not in (INPUT, CONST) else ():
             if not 0 <= c < len(self._nodes):
                 raise ValueError(f"child id {c} is not a known node")
-        self._nodes.append(node)
-        self._interned[node] = len(self._nodes) - 1
-        return len(self._nodes) - 1
+        self._nodes.append(Node(kind, args))
+        self._interned[key] = found = len(self._nodes) - 1
+        return found
 
     def input(self, var: int) -> int:
         if not 0 <= var < self.n_vars:
@@ -243,15 +246,8 @@ def combined_cost(nets) -> CostReport:
     return _census(pool, ids)
 
 
-def name_end(text: str, i: int) -> int:
-    """End of the variable name that starts at text[i]: a letter or "_",
-    then letters, digits or "_".  Returns i when no name starts there."""
-    j = i
-    if j < len(text) and (text[j].isalpha() or text[j] == "_"):
-        j += 1
-        while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-            j += 1
-    return j
+# \w is str.isalnum or "_"
+_WORD = re.compile(r"\w+")
 
 
 def check_names(names, n_vars: int) -> list[str]:
@@ -264,8 +260,8 @@ def check_names(names, n_vars: int) -> list[str]:
         return [chr(ord("A") + i) for i in range(n_vars)]
     names = list(names)
     for name in names:
-        if (not isinstance(name, str) or not name
-                or name_end(name, 0) < len(name)):
+        if (not isinstance(name, str) or not _WORD.fullmatch(name)
+                or not (name[0].isalpha() or name[0] == "_")):
             raise ValueError(f"variable name {name!r} must be a letter or _ "
                              f"followed by letters, digits or _")
     if len(set(names)) != len(names):

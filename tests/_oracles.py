@@ -5,10 +5,15 @@ a cursor-based expression evaluator, sum-of-products majority references,
 and a functions-only breadth-first search that finds the minimum majority
 gate count for every three-variable function without ever building a
 network.  Test expectations are frozen from these, so the package and the
-oracles have to agree through two separate code paths.
+oracles have to agree through two separate code paths.  parse_reference
+is the package's former character-by-character expression parser, kept
+as the differential oracle for the regex tokenizer that replaced it.
 """
 
 import itertools
+
+from qcamaj.errors import ParseError, UnknownVariableError
+from qcamaj.network import NetworkBuilder, check_names
 
 
 def maj3_sop(a, b, c):
@@ -64,6 +69,126 @@ def eval_expr(text, env):
     v, i = expr(0)
     assert i == len(s), f"trailing input in {text!r}"
     return v
+
+
+# the former expression front end, verbatim
+
+_SYMBOLS = "(),'"
+_ARITY = {"M": 3, "M5": 5}
+
+
+class _Token:
+    __slots__ = ("text", "pos")
+
+    def __init__(self, text: str, pos: int):
+        self.text = text
+        self.pos = pos
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _SYMBOLS:
+            tokens.append(_Token(ch, i))
+            i += 1
+            continue
+        j = name_end(text, i)
+        if j == i:
+            while j < len(text) and text[j].isdigit():
+                j += 1
+        if j == i:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        tokens.append(_Token(text[i:j], i))
+        i = j
+    return tokens
+
+
+def _parse(tokens: list[_Token], names: list[str], builder: NetworkBuilder,
+           end: int) -> int:
+    """The root node of the token list; open gates wait on an explicit
+    stack of (gate token, arity, children), so nesting costs no frames."""
+    stack: list[tuple[_Token, int, list[int]]] = []
+    i = 0
+
+    def take() -> _Token:
+        nonlocal i
+        if i == len(tokens):
+            raise ParseError("unexpected end of expression", end)
+        i += 1
+        return tokens[i - 1]
+
+    while True:
+        # one operand: a constant, a variable, or an opening gate
+        tok = take()
+        if tok.text in ("0", "1"):
+            node = builder.const(int(tok.text))
+        elif tok.text.isdigit():
+            raise ParseError(f"constants are 0 or 1, found {tok.text!r}",
+                             tok.pos)
+        elif tok.text in _SYMBOLS:
+            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        elif i < len(tokens) and tokens[i].text == "(":
+            arity = _ARITY.get(tok.text.upper())
+            if arity is None:
+                raise ParseError(
+                    f"unknown gate {tok.text!r}, expected M or M5", tok.pos)
+            i += 1
+            stack.append((tok, arity, []))
+            continue
+        elif tok.text in names:
+            node = builder.input(names.index(tok.text))
+        else:
+            raise UnknownVariableError(
+                f"unknown variable {tok.text!r}, "
+                f"declared: {','.join(names)}", tok.pos)
+        # its complements, then every gate it closes
+        while True:
+            while i < len(tokens) and tokens[i].text == "'":
+                i += 1
+                node = builder.invert(node)
+            if not stack:
+                if i < len(tokens):
+                    raise ParseError(f"trailing input {tokens[i].text!r}",
+                                     tokens[i].pos)
+                return node
+            sep = take()
+            gate, arity, children = stack[-1]
+            children.append(node)
+            if sep.text == ",":
+                break
+            if sep.text != ")":
+                raise ParseError(f"expected ',' or ')', found {sep.text!r}",
+                                 sep.pos)
+            stack.pop()
+            if len(children) != arity:
+                raise ParseError(f"{gate.text.upper()} takes {arity} "
+                                 f"operands, got {len(children)}", gate.pos)
+            node = (builder.maj3 if arity == 3 else builder.maj5)(*children)
+
+
+def name_end(text: str, i: int) -> int:
+    """End of the variable name that starts at text[i]: a letter or "_",
+    then letters, digits or "_".  Returns i when no name starts there."""
+    j = i
+    if j < len(text) and (text[j].isalpha() or text[j] == "_"):
+        j += 1
+        while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            j += 1
+    return j
+
+
+def parse_reference(builder: NetworkBuilder, text: str,
+                    variable_names) -> int:
+    """The former expr.parse_into: the root id of `text` parsed into
+    `builder`'s node pool, through the token objects and character loop
+    above."""
+    names = check_names(variable_names, builder.n_vars)
+    return _parse(_tokenize(text), names, builder, len(text))
 
 
 def minterms_of_expr(text, names):

@@ -1,12 +1,13 @@
 """Expression text parsing and its agreement with an independent evaluator."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qcamaj import (NetworkBuilder, combined_cost, parse_expr, format_expr,
-                    truth_table)
+                    to_text, truth_table)
 from qcamaj.errors import ArityError, ParseError, UnknownVariableError
 from qcamaj.expr import parse_into
 
@@ -94,10 +95,15 @@ def test_deep_nesting_parses_without_recursion():
 
 
 # tokens and characters the tokenizer treats differently: gate names,
-# symbols, declared and undeclared names, constants, a bad digit, a
-# non-ASCII letter and a numeric character that is not a digit
+# symbols, declared and undeclared names, constants, bad digits (one a
+# digit run), a non-ASCII letter, numeric characters that are not digits
+# ("\u00bd", the roman numeral "\u216b"), a digit that is not decimal
+# ("\u00b2"), a decimal digit that is not ASCII ("\u0663"), whitespace
+# that is not ASCII or not printable, and a bad character
 FUZZ_PIECES = ["M", "M5", "m", "(", ")", ",", "'", "A", "B", "C", "D",
-               "0", "1", "2", "_", "\u00e9", "\u00bd", " ", "\t", "\n"]
+               "0", "1", "2", "12", "_", "_x", "\u00e9", "\u00bd",
+               "\u00b2", "\u216b", "\u0663", " ", "\u00a0", "\t", "\n",
+               "\x1c", "#"]
 
 
 @given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=30).map("".join))
@@ -106,6 +112,74 @@ def test_arbitrary_text_parses_or_raises_parse_error(text):
         parse_expr(text, NAMES)
     except ParseError as e:
         assert 0 <= e.position <= len(text)
+
+
+def test_edge_cases_of_the_token_rules():
+    bad = {
+        # a bad character anywhere wins over the earlier arity error
+        "M(A,B)#": ("unexpected character '#'", 6),
+        # "\u00b2" is a digit, so it continues the digit run
+        "1\u00b2": ("constants are 0 or 1, found '1\u00b2'", 0),
+        # numeric characters that are not digits start no token
+        "\u00bd": ("unexpected character '\u00bd'", 0),
+        "\u216b": ("unexpected character '\u216b'", 0),
+        "A B": ("trailing input 'B'", 2),
+        "1A": ("trailing input 'A'", 1),
+        "M(A,B,2)": ("constants are 0 or 1, found '2'", 6),
+    }
+    for text, (message, pos) in bad.items():
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, NAMES)
+        assert str(exc.value) == f"{message} (at position {pos})", text
+        assert exc.value.position == pos, text
+    # "\x1c" is whitespace to str.isspace
+    assert minterms("M(A,B,C)\x1c") == minterms("M(A,B,C)")
+
+
+def test_regex_classes_are_the_str_predicates_the_grammar_names():
+    # the tokenizer's exactness rests on these, for every code point
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
+    assert re.findall(r"\w", every) == [
+        c for c in every if c.isalnum() or c == "_"]
+
+
+# name lists of the differential test: ASCII, and one with a non-ASCII
+# letter and a leading underscore
+DIFF_NAMES = [NAMES, ("A", "\u00e9", "_x")]
+DIFF_TEXT = st.one_of(
+    st.lists(st.sampled_from(FUZZ_PIECES), max_size=30).map("".join),
+    st.text(max_size=12),
+)
+
+
+def outcome(parse, builder, text, names):
+    """to_text of the parsed network, or the error's type, message and
+    position."""
+    try:
+        root = parse(builder, text, names)
+    except ParseError as e:
+        return type(e), str(e), e.position
+    return to_text(builder.build(root))
+
+
+@given(DIFF_TEXT, st.sampled_from(DIFF_NAMES))
+def test_parser_agrees_with_the_former_parser(text, names):
+    try:
+        got = to_text(parse_expr(text, names))
+    except ParseError as e:
+        got = type(e), str(e), e.position
+    assert got == outcome(_oracles.parse_reference, NetworkBuilder(3), text,
+                          names)
+    # into a pool that holds nodes already: the same outcome, and the
+    # same nodes afterwards, after an error too
+    results = []
+    for parse in (parse_into, _oracles.parse_reference):
+        b = NetworkBuilder(3)
+        parse(b, f"M({names[0]},{names[1]},0)'", names)
+        results.append((outcome(parse, b, text, names), b._nodes))
+    assert results[0] == results[1]
 
 
 # each gate level adds at least two leaves, so 11 leaves nest gates at

@@ -289,7 +289,7 @@ NAME_TEXT = st.one_of(
 
 def one_identifier_token(name):
     try:
-        tokens = [t.text for t in _tokenize(name)]
+        tokens, _ = _tokenize(name)
     except ParseError:
         return False
     return tokens == [name] and not name.isdigit() and name not in _SYMBOLS
