@@ -19,9 +19,10 @@ Any other character where a token starts ("#", or a number such as "½"
 that is no digit) is a bad character, and a bad character anywhere in
 the text is reported before any grammar error.  Gate names are
 recognized case-insensitively when followed by an opening parenthesis;
-any other identifier must be one of the declared variable names, which
-network.check_names holds to the variable rule.  Parse failures raise
-ParseError carrying the character offset.
+any other identifier must be one of the declared variable names.  The
+name rule has one owner, network.NAME_CHARS and network.is_name_start,
+which both this tokenizer and network.check_names read.  Parse failures
+raise ParseError carrying the character offset.
 """
 
 from __future__ import annotations
@@ -30,16 +31,16 @@ import itertools
 import re
 
 from .errors import ParseError, UnknownVariableError
-from .network import Network, NetworkBuilder, check_names
+from .network import (NAME_CHARS, Network, NetworkBuilder, check_names,
+                      is_name_start)
 
 _SYMBOLS = "(),'"
 _ARITY = {"M": 3, "M5": 5}
 
-# a symbol, a digit run, a name or a bad character (a \w+ match that
-# starts with a number that is no digit, such as "½", is one too); \s, \d
-# and \w are str.isspace, str.isdecimal and str.isalnum-or-"_" for str
-# patterns
-_TOKEN = re.compile(r"[(),']|\d+|\w+|\S")
+# a symbol, a digit run, a name or a bad character (a NAME_CHARS match
+# that is_name_start refuses, such as "½", is one too); \s and \d are
+# str.isspace and str.isdecimal for str patterns
+_TOKEN = re.compile(rf"[(),']|\d+|{NAME_CHARS}|\S")
 
 
 def _tokenize(text: str) -> tuple[list[str], str]:
@@ -59,7 +60,7 @@ def _tokenize(text: str) -> tuple[list[str], str]:
         tokens = [text[m.start():m.end()] for m in _TOKEN.finditer(scan)]
     for tok in dict.fromkeys(tokens):
         first = tok[0]
-        if not (first in _SYMBOLS or first == "_" or first.isalpha()
+        if not (first in _SYMBOLS or is_name_start(first)
                 or first.isdigit()):
             raise ParseError(f"unexpected character {first!r}",
                              _offset(scan, tokens.index(tok)))
@@ -77,7 +78,9 @@ def _parse(tokens: list[str], scan: str, names: list[str],
     stack of (gate token number, arity, children), so nesting costs no
     frames."""
     index = {name: k for k, name in enumerate(names)}
-    leaves: dict[str, int] = {}     # node id of each variable read so far
+    # node id of each variable read so far; skips builder.input's range
+    # check and key tuple for every repeated leaf
+    leaves: dict[str, int] = {}
     n = len(tokens)
     stack: list[tuple[int, int, list[int]]] = []
     i = 0

@@ -246,8 +246,17 @@ def combined_cost(nets) -> CostReport:
     return _census(pool, ids)
 
 
-# \w is str.isalnum or "_"
-_WORD = re.compile(r"\w+")
+# The variable rule, which the expression tokenizer reads too: a letter
+# (str.isalpha) or "_", then letters, digits or "_".  \w is str.isalnum
+# or "_", so NAME_CHARS matches a name's characters and is_name_start
+# says which of them may open it.
+NAME_CHARS = r"\w+"
+_NAME_CHARS = re.compile(NAME_CHARS)
+
+
+def is_name_start(ch: str) -> bool:
+    """Whether a variable name may begin with character ch."""
+    return ch.isalpha() or ch == "_"
 
 
 def check_names(names, n_vars: int) -> list[str]:
@@ -260,8 +269,8 @@ def check_names(names, n_vars: int) -> list[str]:
         return [chr(ord("A") + i) for i in range(n_vars)]
     names = list(names)
     for name in names:
-        if (not isinstance(name, str) or not _WORD.fullmatch(name)
-                or not (name[0].isalpha() or name[0] == "_")):
+        if (not isinstance(name, str) or not _NAME_CHARS.fullmatch(name)
+                or not is_name_start(name[0])):
             raise ValueError(f"variable name {name!r} must be a letter or _ "
                              f"followed by letters, digits or _")
     if len(set(names)) != len(names):

@@ -6,8 +6,8 @@
 `--parent` is a checkout of the commit to compare against (made with
 `git clone` or `git archive`); the other side is the checkout this
 script sits in.  Pair k runs `perfbench/run.py --seed k` on every
-workload that BENCHMARK.json lists, once per side, one run at a time;
-odd seeds run the parent first, even seeds the change.  The output
+workload that BENCHMARK.json lists, for its `run_seconds`, once per
+side, one run at a time; odd seeds run the parent first, even seeds the change.  The output
 JSON holds, per workload and end-to-end metric, both sides' medians
 and quartiles, the number of pairs the change won, whether every
 change run beat every parent run, and how many parent interquartile
@@ -104,13 +104,12 @@ def main(argv=None):
     ap.add_argument("--parent", type=Path, required=True,
                     help="checkout of the commit to compare against")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"],
-                    help="length of each run (default: BENCHMARK.json's)")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
     workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": CHANGE}
     for tree in trees.values():
         refresh_bytecode(tree)
@@ -120,7 +119,7 @@ def main(argv=None):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for workload in workloads:
             for side in order:
-                run = run_once(trees[side], workload, seed, args.seconds)
+                run = run_once(trees[side], workload, seed, seconds)
                 runs.append({"workload": workload, "seed": seed,
                              "side": side, "ran_first": side == order[0],
                              **run})
@@ -133,7 +132,7 @@ def main(argv=None):
                 f"pair per seed 1-{args.pairs}; odd seeds ran the parent "
                 f"first, even seeds the change",
         "command": f"python3 perfbench/run.py --workload <workload> "
-                   f"--seed <seed> --seconds {args.seconds:g} --trace 0",
+                   f"--seed <seed> --seconds {seconds:g} --trace 0",
         "host": f"Python {platform.python_version()}, "
                 f"{platform.platform()}; each side run from its own "
                 f"checkout, one run at a time, bytecode caches refreshed "
