@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -141,7 +142,7 @@ class CellGrid:
         for c in cells:
             found = []
             for step, w in _STEPS[dim]:
-                j = index.get(tuple(x + d for x, d in zip(c.position, step)))
+                j = index.get(tuple(map(operator.add, c.position, step)))
                 if j is not None:
                     found.append((j, w))
             self._weights.append(tuple(sorted(found)))

@@ -195,9 +195,6 @@ _GATES = {
 
 
 def cmd_sim(args) -> tuple[RunReport, int]:
-    if args.gate not in _GATES:
-        raise ValueError(f"unknown gate {args.gate!r}, "
-                         f"choose from {', '.join(sorted(_GATES))}")
     arity, make = _GATES[args.gate]
     if len(args.bits) != arity or any(b not in "01" for b in args.bits):
         raise ValueError(
@@ -282,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adders)
 
     p = sub.add_parser("sim", help="relax a gate layout cell by cell")
-    p.add_argument("gate", help="wire, inverter, maj3 or maj5")
+    p.add_argument("gate", choices=_GATES, help="gate layout to relax")
     p.add_argument("bits", help="driver bits, e.g. 101 for maj3")
     p.add_argument("--length", type=int, default=5,
                    help="wire length in cells (default 5)")

@@ -142,39 +142,13 @@ class NetworkBuilder:
         return Network(self.n_vars, tuple(self._nodes), output)
 
 
-def evaluate(net: Network, assignment) -> int:
-    """Evaluate the output for one assignment (a 0/1 sequence in
-    variable order)."""
-    row = check_row(assignment, net.n_vars)
-    values = [0] * len(net.nodes)
-    for i, node in enumerate(net.nodes):
-        if node.kind == INPUT:
-            values[i] = row[node.args[0]]
-        elif node.kind == CONST:
-            values[i] = node.args[0]
-        elif node.kind == NOT:
-            values[i] = 1 - values[node.args[0]]
-        else:
-            total = sum(values[c] for c in node.args)
-            values[i] = 1 if 2 * total > len(node.args) else 0
-    return values[net.output]
-
-
-def truth_table(net: Network) -> TruthTable:
-    """Exhaustive truth table of the output.  Each node is computed once,
-    as an int over all 2**n rows.  Refuses networks with more than eight
-    inputs; 2**n rows stop being a sensible plan past that."""
-    if net.n_vars > MAX_VARS:
-        raise CapacityError(
-            f"truth tables cover at most {MAX_VARS} variables, "
-            f"network has {net.n_vars}"
-        )
-    n = net.n_vars
-    mask = (1 << (1 << n)) - 1
+def _output_int(net: Network, inputs, mask: int) -> int:
+    """The output's int form, given each input's int form and a mask
+    with one bit per row.  Each node is computed once."""
     values = []
     for node in net.nodes:
         if node.kind == INPUT:
-            values.append(var_table(n, node.args[0]))
+            values.append(inputs[node.args[0]])
         elif node.kind == CONST:
             values.append(mask if node.args[0] else 0)
         elif node.kind == NOT:
@@ -182,7 +156,29 @@ def truth_table(net: Network) -> TruthTable:
         else:
             gate = maj3 if node.kind == MAJ3 else maj5
             values.append(gate(*(values[c] for c in node.args)))
-    return TruthTable.from_int(n, values[net.output])
+    return values[net.output]
+
+
+def evaluate(net: Network, assignment) -> int:
+    """Evaluate the output for one assignment (a 0/1 sequence in
+    variable order): the one-row truth table, so it answers for any
+    number of inputs."""
+    return _output_int(net, check_row(assignment, net.n_vars), 1)
+
+
+def truth_table(net: Network) -> TruthTable:
+    """Exhaustive truth table of the output, every node an int over all
+    2**n rows.  Refuses networks with more than eight inputs; 2**n rows
+    stop being a sensible plan past that."""
+    if net.n_vars > MAX_VARS:
+        raise CapacityError(
+            f"truth tables cover at most {MAX_VARS} variables, "
+            f"network has {net.n_vars}"
+        )
+    n = net.n_vars
+    inputs = [var_table(n, i) for i in range(n)]
+    mask = (1 << (1 << n)) - 1
+    return TruthTable.from_int(n, _output_int(net, inputs, mask))
 
 
 def reachable(net: Network) -> set[int]:
@@ -232,15 +228,16 @@ def cost(net: Network) -> CostReport:
 
 def combined_cost(nets) -> CostReport:
     """Census over the union of several output cones. The networks must
-    share one node pool (be built from one builder); levels is the worst
-    output depth."""
+    share one node pool (be built from one builder, which only appends,
+    so each network's nodes are a prefix of the longest one's); levels
+    is the worst output depth."""
     nets = list(nets)
     if not nets:
         raise ValueError("need at least one network")
-    pool = nets[0].nodes
+    pool = max((net.nodes for net in nets), key=len)
     ids: set[int] = set()
     for net in nets:
-        if net.nodes != pool:
+        if net.nodes != pool[:len(net.nodes)]:
             raise ValueError("networks do not share a node pool")
         ids |= reachable(net)
     return _census(pool, ids)

@@ -36,11 +36,11 @@ the result minimizes (gate_count, levels, inverter_count) and finally the
 serialized text.  The scan keeps every candidate that ties the best key,
 writes the to_text form of each straight from its chain, and builds a
 Network only for the winner.  Repeated runs therefore return
-byte-identical answers.  An exhaustive check over all 256 three-variable
-functions confirms that no network inside the default budget beats the
-returned one on that cost tuple at a deeper level either.  A target that
-cannot be reached inside the budget yields None rather than an
-exception.
+byte-identical answers.  The tests check every three-variable
+function's minimum majority count against the independent search in
+tests/_oracles.py under two budgets, and freeze the atlas text by hash.
+A target that cannot be reached inside the budget yields None rather
+than an exception.
 """
 
 from __future__ import annotations
@@ -130,6 +130,11 @@ def _pairs(even: bytes, odd: bytes) -> int:
     return int.from_bytes(both, "little")
 
 
+def _gate(combo: tuple, lanes: list) -> int:
+    """The gate's table over operand tuple combo, operands read from lanes."""
+    return (maj3 if len(combo) == 3 else maj5)(*[lanes[x] for x in combo])
+
+
 class _Rows:
     """One level's row table: every operand tuple evaluated for every
     parent chain at once, one byte lane per parent.
@@ -138,30 +143,32 @@ class _Rows:
     whose tuple holds g is the Shannon pair (lo, hi): the tuple's table
     with g at 0 and at 1.  Majority is monotone, so lo is inside hi and a
     child with table gt makes (gt & hi) | lo.  A row without g is a fixed
-    table t, kept as lo = hi = t so that the same formula gives t.  The
-    scan reads only the pairs, so the fixed rows wait for growth.
+    table t, kept as lo = hi = t so that the same formula gives t.  At
+    level 1 there is no g: every gate is new, so every row scans and is
+    its own pair (hi is lo).  Otherwise the scan reads only the pairs,
+    so the fixed rows wait for growth.
     """
 
     def __init__(self, searcher, combos, parents, level):
         self.combos = combos
-        self.nbase = searcher.nbase
         self.np = np = len(parents)
         self.ones = ones = int.from_bytes(b"\x01" * np, "little")
         # the candidates' tables, one lane per parent; g comes last
         self.lanes = [t * ones for t in searcher.base_tables] + [
             int.from_bytes(bytes(p.tables[j] for p in parents), "little")
             for j in range(level - 2)]
-        g = len(self.lanes) if level > 1 else None
-        # at level 1 there is no g and every gate is new, so all rows scan
-        self.scan = [r for r, combo in enumerate(combos)
-                     if g is None or g in combo]
-        self.lo, self.hi = [None] * len(combos), [None] * len(combos)
-        at_0 = self.lanes + [0]
-        at_1 = self.lanes + [searcher.mask * ones]
-        for r in self.scan:
-            fn = maj3 if len(combos[r]) == 3 else maj5
-            self.lo[r] = fn(*[at_0[x] for x in combos[r]])
-            self.hi[r] = fn(*[at_1[x] for x in combos[r]])
+        self._zeros = (0,) * searcher.nbase     # the base candidates' depths
+        if level == 1:
+            self.scan = range(len(combos))
+            self.lo = self.hi = [_gate(c, self.lanes) for c in combos]
+        else:
+            g = len(self.lanes)
+            self.scan = [r for r, combo in enumerate(combos) if g in combo]
+            self.lo, self.hi = [None] * len(combos), [None] * len(combos)
+            at_0, at_1 = self.lanes + [0], self.lanes + [searcher.mask * ones]
+            for r in self.scan:
+                self.lo[r] = _gate(combos[r], at_0)
+                self.hi[r] = _gate(combos[r], at_1)
         self._bytes = None
         self._depths: dict[tuple, bytes] = {}
 
@@ -170,9 +177,7 @@ class _Rows:
         if self._bytes is None:
             for r, combo in enumerate(self.combos):
                 if self.lo[r] is None:
-                    fn = maj3 if len(combo) == 3 else maj5
-                    self.lo[r] = self.hi[r] = fn(
-                        *[self.lanes[x] for x in combo])
+                    self.lo[r] = self.hi[r] = _gate(combo, self.lanes)
             self._bytes = [b"".join(v.to_bytes(self.np, "little")
                                     for v in half)
                            for half in (self.lo, self.hi)]
@@ -183,11 +188,9 @@ class _Rows:
         these depths."""
         got = self._depths.get(depths)
         if got is None:
-            nbase = self.nbase
+            d = self._zeros + depths
             got = self._depths[depths] = bytes(
-                1 + max([depths[x - nbase] for x in combo if x >= nbase],
-                        default=0)
-                for combo in self.combos)
+                1 + max([d[x] for x in combo]) for combo in self.combos)
         return got
 
 

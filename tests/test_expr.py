@@ -6,8 +6,8 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from qcamaj import (NetworkBuilder, combined_cost, parse_expr, format_expr,
-                    to_text, truth_table)
+from qcamaj import (NetworkBuilder, combined_cost, evaluate, parse_expr,
+                    format_expr, to_text, truth_table)
 from qcamaj.errors import ArityError, ParseError, UnknownVariableError
 from qcamaj.expr import parse_into
 
@@ -200,6 +200,14 @@ WELL_FORMED = st.recursive(
 @given(WELL_FORMED)
 def test_well_formed_text_agrees_with_independent_evaluator(text):
     assert minterms(text) == _oracles.minterms_of_expr(text, NAMES)
+
+
+@given(WELL_FORMED)
+def test_evaluate_agrees_with_independent_evaluator_on_every_row(text):
+    net = parse_expr(text, NAMES)
+    for bits in itertools.product((0, 1), repeat=3):
+        assert evaluate(net, bits) == _oracles.eval_expr(
+            text, dict(zip(NAMES, bits))), (text, bits)
 
 
 def test_duplicate_or_empty_variable_names_rejected():

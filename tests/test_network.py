@@ -131,6 +131,21 @@ def test_combined_cost_shares_across_outputs():
             report.gate_count, report.levels) == (1, 1, 1, 3, 2)
 
 
+def test_combined_cost_accepts_builds_from_a_grown_pool():
+    # the carry is built before the sum's nodes exist, so its node tuple
+    # is a prefix of the sum's
+    b = NetworkBuilder(3)
+    a, bb, cin = (b.input(i) for i in range(3))
+    carry = b.maj3(a, bb, cin)
+    carry_net = b.build(carry)
+    ncarry = b.invert(carry)
+    sum_net = b.build(b.maj5(a, bb, cin, ncarry, ncarry))
+    for nets in ([carry_net, sum_net], [sum_net, carry_net]):
+        report = combined_cost(nets)
+        assert (report.maj3_count, report.maj5_count, report.inverter_count,
+                report.gate_count, report.levels) == (1, 1, 1, 3, 2)
+
+
 def test_combined_cost_requires_shared_pool():
     b1 = NetworkBuilder(2)
     n1 = b1.build(b1.maj3(b1.input(0), b1.input(1), b1.const(0)))
@@ -265,6 +280,23 @@ def test_random_network_expression_round_trip(net):
     assert truth_table(parse_expr(text, NAMES)) == truth_table(net)
     # the rendered text means the same thing to the independent evaluator
     assert _oracles.minterms_of_expr(text, NAMES) == truth_table(net).minterms()
+
+
+def test_evaluate_answers_past_the_truth_table_cap():
+    # twelve inputs: M5 of the first five, M of the next three, and a
+    # maj3 of both with the inverted last input
+    n = 12
+    b = NetworkBuilder(n)
+    x = [b.input(i) for i in range(n)]
+    out = b.maj3(b.maj5(*x[:5]), b.maj3(*x[5:8]), b.invert(x[11]))
+    net = b.build(out)
+    with pytest.raises(CapacityError):
+        truth_table(net)
+    for k in range(0, 1 << n, 37):
+        bits = [(k >> (n - 1 - i)) & 1 for i in range(n)]
+        want = _oracles.maj3_sop(_oracles.maj5_sop(*bits[:5]),
+                                 _oracles.maj3_sop(*bits[5:8]), 1 - bits[11])
+        assert evaluate(net, bits) == want, bits
 
 
 @given(random_networks())

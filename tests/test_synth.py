@@ -317,3 +317,31 @@ def test_shannon_pairs_match_the_majority(parents, g):
     # doubled operand
     assert shapes == {(3, 1, False), (5, 1, False), (5, 2, True),
                       (5, 1, True)}
+
+
+def test_level_one_rows_are_their_own_pairs():
+    # no chain gate yet: every row scans, hi is lo, and every gate is one
+    # level deep
+    searcher = _Searcher(3, SearchBudget())
+    combos = searcher._combos(searcher.nbase)
+    rows = _Rows(searcher, combos, [_Parent(())], 1)
+    assert list(rows.scan) == list(range(len(combos)))
+    lo_bytes, hi_bytes = rows.parent(0)
+    for r, combo in enumerate(combos):
+        want = (maj3 if len(combo) == 3 else maj5)(
+            *[searcher.base_tables[x] for x in combo])
+        assert rows.hi[r] == rows.lo[r] == lo_bytes[r] == hi_bytes[r] == want
+    assert rows.depths(()) == bytes([1] * len(combos))
+
+
+@given(st.tuples(*[st.integers(1, 3)] * 3))
+def test_row_depths_at_level_four(depths):
+    # three chain gates (candidates 8, 9, 10) under the base candidates,
+    # which are 0 deep
+    searcher = _Searcher(3, SearchBudget(max_gates=4))
+    combos = searcher._combos(11)
+    rows = _Rows(searcher, combos, [_Parent((0, 0))], 4)
+    nbase = searcher.nbase
+    assert rows.depths(depths) == bytes(
+        1 + max([depths[x - nbase] for x in combo if x >= nbase], default=0)
+        for combo in combos)
