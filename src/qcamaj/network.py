@@ -299,13 +299,12 @@ def verify(net: Network, spec: TruthTable, names=None) -> VerifyReport:
             f"network has {net.n_vars} inputs but the reference table "
             f"has {spec.n_vars}"
         )
-    got = truth_table(net)
-    differing = TruthTable.from_int(
-        net.n_vars, got.to_int() ^ spec.to_int()).minterms()
+    computed = truth_table(net).minterms()
+    differing = computed ^ spec.minterms()
     return VerifyReport(
         equivalent=not differing,
         differing_minterms=differing,
-        computed_minterms=got.minterms(),
+        computed_minterms=computed,
         variable_order_note=order_note(net.n_vars, names),
     )
 
@@ -381,14 +380,14 @@ def from_text(text: str) -> Network:
     if not lines or not lines[0].startswith("network "):
         raise ValueError("serialized network must start with 'network <n>'")
     try:
-        n_vars = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        n_vars = int(lines[0].removeprefix("network "))
+    except ValueError:
         raise ValueError(f"bad header line {lines[0]!r}") from None
     if not lines[-1].startswith("output "):
         raise ValueError("serialized network must end with 'output <id>'")
     try:
-        output = int(lines[-1].split()[1])
-    except (IndexError, ValueError):
+        output = int(lines[-1].removeprefix("output "))
+    except ValueError:
         raise ValueError(f"bad output line {lines[-1]!r}") from None
     nodes = []
     for expected, line in enumerate(lines[1:-1]):

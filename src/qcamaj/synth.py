@@ -85,24 +85,19 @@ _COMBOS: dict[tuple, list] = {}     # _Searcher._combos, built on first use
 
 class _Chain:
     """A search state: a chain of gates, held as their operand tuples,
-    tables and depths, and every operand index it uses as one bit.  A
-    gate's code is its table | depth << 8; `codes` holds the code each of
-    the chain's growth rows makes, two bytes per row, and the operand
-    tuple of a child's newest gate is the first row with its code."""
+    tables and depths.  A gate's code is its table | depth << 8; `codes`
+    holds the code each of the chain's growth rows makes, two bytes per
+    row, and the operand tuple of a child's newest gate is the first row
+    with its code."""
 
-    __slots__ = ("gates", "tables", "depths", "used", "codes")
+    __slots__ = ("gates", "tables", "depths", "codes")
 
-    def __init__(self, gates, tables, depths, used):
+    def __init__(self, gates, tables, depths):
         self.gates, self.tables, self.depths = gates, tables, depths
-        self.used = used
         self.codes = b""
 
     def profile(self) -> frozenset:
         return frozenset(t | d << 8 for t, d in zip(self.tables, self.depths))
-
-
-def _bits(xs) -> int:
-    return sum(1 << x for x in set(xs))
 
 
 def _lanes(raw: bytes) -> memoryview:
@@ -207,7 +202,7 @@ class _Searcher:
         tables += [t ^ self.mask for t in tables[2:2 + n_vars]]
         self.base_tables = tables
         self.nbase = len(tables)
-        self.neg_bits = _bits(range(2 + n_vars, 2 + 2 * n_vars))
+        self.negated = frozenset(range(2 + n_vars, 2 + 2 * n_vars))
 
     # ---- candidate enumeration -----------------------------------------
 
@@ -243,33 +238,31 @@ class _Searcher:
 
     def _text(self, gates, root: int) -> str:
         """to_text of the network NetworkBuilder makes from the chain's
-        operand tuples with output `root`, written without building it."""
+        operand tuples with output `root`, written without building it;
+        test_chain_text_matches_the_builder pins the two together.  Nodes
+        are numbered in first-use order."""
         n, nbase = self.n, self.nbase
-        lines = [f"network {n}"]
         ids: dict[str, int] = {}
-
-        def intern(node: str) -> int:
-            got = ids.get(node)
-            if got is None:
-                got = ids[node] = len(ids)
-                lines.append(f"{got} {node}")
-            return got
+        gate_ids: list[int] = []
 
         def resolve(ci: int) -> int:
             if ci >= nbase:
                 return gate_ids[ci - nbase]
             if ci < 2:
-                return intern(f"const {ci}")
-            if ci >= 2 + n:
-                return intern(f"not {intern(f'input {ci - 2 - n}')}")
-            return intern(f"input {ci - 2}")
+                node = f"const {ci}"
+            elif ci >= 2 + n:
+                node = f"not {resolve(ci - n)}"
+            else:
+                node = f"input {ci - 2}"
+            return ids.setdefault(node, len(ids))
 
-        gate_ids: list[int] = []
         for combo in gates:
-            args = " ".join([str(resolve(ci)) for ci in combo])
-            gate_ids.append(intern(f"maj{len(combo)} {args}"))
-        lines.append(f"output {resolve(root)}")
-        return "\n".join(lines) + "\n"
+            node = f"maj{len(combo)} " + " ".join(
+                [str(resolve(ci)) for ci in combo])
+            gate_ids.append(ids.setdefault(node, len(ids)))
+        output = resolve(root)
+        lines = [f"{i} {node}" for node, i in ids.items()]
+        return "\n".join([f"network {n}", *lines, f"output {output}", ""])
 
     # ---- the search ------------------------------------------------------
 
@@ -281,7 +274,7 @@ class _Searcher:
         combo = self._combos(self.nbase + len(p.gates))[
             _first_row(p.codes, c)]
         return _Chain(p.gates + (combo,), p.tables + (c & _BYTE,),
-                      p.depths + (c >> 8,), p.used | _bits(combo))
+                      p.depths + (c >> 8,))
 
     def _scan(self, level, groups, rows, unsolved):
         """The text of the best network per target that a gate of this
@@ -330,14 +323,14 @@ class _Searcher:
     def _offer(self, level, kid, rows, r, target, found):
         """Record kid grown by the gate of row r as a way to make target if
         it ties or beats the best key so far."""
-        combo = rows.combos[r]
-        ninv = ((kid.used | _bits(combo)) & self.neg_bits).bit_count()
+        chain = kid.gates + (rows.combos[r],)
+        ninv = len(self.negated.intersection(itertools.chain(*chain)))
         key = (level + ninv, rows.depths(kid.depths)[r], ninv)
         best = found.get(target)
         if best is None or key < best[0]:
-            found[target] = (key, [kid.gates + (combo,)])
+            found[target] = (key, [chain])
         elif key == best[0]:
-            best[1].append(kid.gates + (combo,))
+            best[1].append(chain)
 
     def _grow(self, level, groups, rows):
         """Every state grown by each gate of a function new to its chain
@@ -436,7 +429,7 @@ class _Searcher:
 
         # states in groups of one parent's children, each child a code;
         # level 1 has one state, the empty chain
-        groups: list[tuple] = [(_Chain((), (), (), 0), {0: None})]
+        groups: list[tuple] = [(_Chain((), (), ()), {0: None})]
         for level in range(1, top + 1):
             combos = self._combos(self.nbase + level - 1)
             rows = _Rows(self, combos, [p for p, _ in groups], level)

@@ -9,8 +9,9 @@ reports repeat it so results stay attributable to an ordering.
 The same vector has an int form, whose bit k is the value at minterm k.
 TruthTable.to_int and TruthTable.from_int convert between the forms;
 var_table, maj3 and maj5 work on ints, so one bitwise operation
-evaluates a gate on every row at once.  No other module knows this
-encoding.
+evaluates a gate on every row at once.  Two other modules compute in
+this form: network.truth_table, which builds the all-rows mask, and
+synth, which packs tables into byte lanes, one per parent chain.
 """
 
 from __future__ import annotations

@@ -209,7 +209,9 @@ def test_text_round_trip_preserves_structure():
 
 def test_from_text_rejects_malformed_input():
     for bad in ["", "bogus", "network x\noutput 0",
-                "network 1\n0 input 0\n", "network 1\n5 input 0\noutput 0"]:
+                "network 1\n0 input 0\n", "network 1\n5 input 0\noutput 0",
+                "network 3 junk\n0 input 0\noutput 0\n",
+                "network 3\n0 input 0\noutput 0 junk\n"]:
         with pytest.raises(ValueError):
             from_text(bad)
 

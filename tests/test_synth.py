@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcamaj import (
+    NetworkBuilder,
     SearchBudget,
     TruthTable,
     atlas_to_text,
     cost,
+    from_text,
     synthesize,
     synthesize_all_3var,
     to_text,
@@ -345,3 +347,68 @@ def test_row_depths_at_level_four(depths):
     assert rows.depths(depths) == bytes(
         1 + max([depths[x - nbase] for x in combo if x >= nbase], default=0)
         for combo in combos)
+
+
+@st.composite
+def random_chains(draw):
+    # operand tuples over the base candidates and the earlier gates, with
+    # constants, both literal polarities and repeated operands, then a
+    # root among every candidate
+    n = draw(st.integers(1, 3))
+    nbase = 2 + 2 * n
+    gates = []
+    for k in range(draw(st.integers(0, 4))):
+        operand = st.integers(0, nbase + k - 1)
+        arity = draw(st.sampled_from((3, 5)))
+        gates.append(tuple(draw(st.lists(operand, min_size=arity,
+                                         max_size=arity))))
+    return n, tuple(gates), draw(st.integers(0, nbase + len(gates) - 1))
+
+
+@given(random_chains())
+def test_chain_text_matches_the_builder(chain):
+    # _text is the only writer of the text format outside network.py
+    n, gates, root = chain
+    b = NetworkBuilder(n)
+    gate_ids = []
+
+    def resolve(ci):
+        if ci >= 2 + 2 * n:
+            return gate_ids[ci - 2 - 2 * n]
+        if ci < 2:
+            return b.const(ci)
+        if ci >= 2 + n:
+            return b.invert(b.input(ci - 2 - n))
+        return b.input(ci - 2)
+
+    for combo in gates:
+        args = [resolve(ci) for ci in combo]
+        gate_ids.append(b.maj3(*args) if len(args) == 3 else b.maj5(*args))
+    net = b.build(resolve(root))
+    assert _Searcher(n, SearchBudget())._text(gates, root) == to_text(net)
+
+
+def test_every_recorded_candidate_has_its_key(monkeypatch):
+    # every chain the scan records, not only the winners, is its own cone
+    # and costs exactly the key it was recorded under
+    offer = _Searcher._offer
+    recorded = []
+
+    def certified(self, level, kid, rows, r, target, found):
+        prior = found.get(target)
+        size = len(prior[1]) if prior else 0
+        offer(self, level, kid, rows, r, target, found)
+        key, chains = found[target]
+        if prior is None or chains is not prior[1] or len(chains) > size:
+            assert chains[-1] == kid.gates + (rows.combos[r],)
+            net = from_text(self._text(chains[-1], self.nbase + level - 1))
+            c = cost(net)
+            assert (c.gate_count, c.levels, c.inverter_count) == key
+            assert truth_table(net).to_int() == target
+            recorded.append(target)
+
+    monkeypatch.setattr(_Searcher, "_offer", certified)
+    synthesize_all_3var()
+    synthesize_all_3var(SearchBudget(4, 4, False))
+    base = _Searcher(3, SearchBudget()).base_tables
+    assert set(recorded) == set(range(256)).difference(base)
