@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .adders import audit_entries, compare_adders
+from .adders import ADDER_VARS, audit_entries, compare_adders
 from .cellsim import (build_inverter, build_maj3, build_maj5, build_wire,
                       read_logic, relax)
 from .errors import ConvergenceError, UndecidedError
@@ -175,7 +175,7 @@ def cmd_audit_tables(args) -> tuple[RunReport, int]:
 
 def cmd_adders(args) -> tuple[RunReport, int]:
     report = RunReport("adders")
-    report.add("ordering", order_note(3, ["A", "B", "Cin"]))
+    report.add("ordering", order_note(3, ADDER_VARS))
     report.add("oracle", "2*Carry+Sum == A+B+Cin over all eight rows")
     ok = True
     for r in compare_adders():

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ArityError, CapacityError
 from .truthtable import MAX_VARS, TruthTable, check_row, maj3, maj5, var_table
@@ -42,8 +43,7 @@ MAJ5 = "maj5"
 _ARITY = {INPUT: 1, CONST: 1, NOT: 1, MAJ3: 3, MAJ5: 5}
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One network node.  args holds a variable index, a constant value,
     or child node ids depending on kind."""
 
@@ -62,27 +62,27 @@ class Network:
             raise ValueError(f"n_vars must be positive, got {self.n_vars}")
         if not 0 <= self.output < len(self.nodes):
             raise ValueError(f"output id {self.output} out of range")
-        for i, node in enumerate(self.nodes):
-            if node.kind not in _ARITY:
-                raise ValueError(f"node {i}: unknown kind {node.kind!r}")
-            if len(node.args) != _ARITY[node.kind]:
+        for i, (kind, args) in enumerate(self.nodes):
+            if kind not in _ARITY:
+                raise ValueError(f"node {i}: unknown kind {kind!r}")
+            if len(args) != _ARITY[kind]:
                 raise ValueError(
-                    f"node {i}: kind {node.kind} takes {_ARITY[node.kind]} "
-                    f"arguments, got {len(node.args)}"
+                    f"node {i}: kind {kind} takes {_ARITY[kind]} "
+                    f"arguments, got {len(args)}"
                 )
-            if node.kind == INPUT:
-                if not 0 <= node.args[0] < self.n_vars:
+            if kind == INPUT:
+                if not 0 <= args[0] < self.n_vars:
                     raise ValueError(
-                        f"node {i}: variable index {node.args[0]} out of "
+                        f"node {i}: variable index {args[0]} out of "
                         f"range for {self.n_vars} inputs"
                     )
-            elif node.kind == CONST:
-                if node.args[0] not in (0, 1):
+            elif kind == CONST:
+                if args[0] not in (0, 1):
                     raise ValueError(
-                        f"node {i}: constant must be 0 or 1, got {node.args[0]}"
+                        f"node {i}: constant must be 0 or 1, got {args[0]}"
                     )
             else:
-                for c in node.args:
+                for c in args:
                     if not 0 <= c < i:
                         raise ValueError(
                             f"node {i}: child {c} does not precede the node"
@@ -94,27 +94,24 @@ class NetworkBuilder:
 
     One builder may serve several outputs; networks built from it share
     the node pool, which is how multi-output designs share subterms.
-    The pool is keyed by plain (kind, args) tuples, which hash in C, and
-    a Node is made only for a node the pool does not hold yet.
+    The pool is one dict from node to id: a Node is its (kind, args)
+    tuple, so a lookup hashes in C, and insertion order is id order.
     """
 
     def __init__(self, n_vars: int):
         if n_vars < 1:
             raise ValueError(f"n_vars must be positive, got {n_vars}")
         self.n_vars = n_vars
-        self._nodes: list[Node] = []
-        self._interned: dict[tuple[str, tuple[int, ...]], int] = {}
+        self._nodes: dict[Node, int] = {}
 
     def _intern(self, kind: str, args: tuple[int, ...]) -> int:
-        key = (kind, args)
-        found = self._interned.get(key)
+        found = self._nodes.get((kind, args))
         if found is not None:
             return found
         for c in args if kind not in (INPUT, CONST) else ():
             if not 0 <= c < len(self._nodes):
                 raise ValueError(f"child id {c} is not a known node")
-        self._nodes.append(Node(kind, args))
-        self._interned[key] = found = len(self._nodes) - 1
+        self._nodes[Node(kind, args)] = found = len(self._nodes)
         return found
 
     def input(self, var: int) -> int:
@@ -146,16 +143,16 @@ def _output_int(net: Network, inputs, mask: int) -> int:
     """The output's int form, given each input's int form and a mask
     with one bit per row.  Each node is computed once."""
     values = []
-    for node in net.nodes:
-        if node.kind == INPUT:
-            values.append(inputs[node.args[0]])
-        elif node.kind == CONST:
-            values.append(mask if node.args[0] else 0)
-        elif node.kind == NOT:
-            values.append(values[node.args[0]] ^ mask)
+    for kind, args in net.nodes:
+        if kind == INPUT:
+            values.append(inputs[args[0]])
+        elif kind == CONST:
+            values.append(mask if args[0] else 0)
+        elif kind == NOT:
+            values.append(values[args[0]] ^ mask)
         else:
-            gate = maj3 if node.kind == MAJ3 else maj5
-            values.append(gate(*(values[c] for c in node.args)))
+            gate = maj3 if kind == MAJ3 else maj5
+            values.append(gate(*(values[c] for c in args)))
     return values[net.output]
 
 
@@ -190,9 +187,9 @@ def reachable(net: Network) -> set[int]:
         if i in seen:
             continue
         seen.add(i)
-        node = net.nodes[i]
-        if node.kind not in (INPUT, CONST):
-            stack.extend(node.args)
+        kind, args = net.nodes[i]
+        if kind not in (INPUT, CONST):
+            stack.extend(args)
     return seen
 
 
@@ -206,16 +203,16 @@ class CostReport:
 
 
 def _census(nodes: tuple[Node, ...], ids: set[int]) -> CostReport:
-    n3 = sum(1 for i in ids if nodes[i].kind == MAJ3)
-    n5 = sum(1 for i in ids if nodes[i].kind == MAJ5)
-    ninv = sum(1 for i in ids if nodes[i].kind == NOT)
+    count = dict.fromkeys(_ARITY, 0)
     depth = [0] * len(nodes)
     for i in sorted(ids):
-        node = nodes[i]
-        if node.kind == NOT:
-            depth[i] = depth[node.args[0]]
-        elif node.kind in (MAJ3, MAJ5):
-            depth[i] = 1 + max(depth[c] for c in node.args)
+        kind, args = nodes[i]
+        count[kind] += 1
+        if kind == NOT:
+            depth[i] = depth[args[0]]
+        elif kind in (MAJ3, MAJ5):
+            depth[i] = 1 + max(depth[c] for c in args)
+    n3, n5, ninv = count[MAJ3], count[MAJ5], count[NOT]
     levels = max((depth[i] for i in ids), default=0)
     return CostReport(n3, n5, ninv, n3 + n5 + ninv, levels)
 
@@ -329,16 +326,15 @@ def format_expr(net: Network, names=None) -> str:
     # the text length of each subterm, children first
     size = [0] * len(net.nodes)
     for i in sorted(reachable(net)):
-        node = net.nodes[i]
-        if node.kind == INPUT:
-            size[i] = len(names[node.args[0]])
-        elif node.kind == CONST:
+        kind, args = net.nodes[i]
+        if kind == INPUT:
+            size[i] = len(names[args[0]])
+        elif kind == CONST:
             size[i] = 1
-        elif node.kind == NOT:
-            size[i] = size[node.args[0]] + 1
+        elif kind == NOT:
+            size[i] = size[args[0]] + 1
         else:   # the opening, the commas and ")"
-            size[i] = (len(_OPEN[node.kind]) + len(node.args)
-                       + sum(size[c] for c in node.args))
+            size[i] = len(_OPEN[kind]) + len(args) + sum(size[c] for c in args)
         if size[i] > MAX_EXPR_CHARS:
             raise CapacityError(
                 f"expression text exceeds {MAX_EXPR_CHARS} characters")
@@ -351,16 +347,16 @@ def format_expr(net: Network, names=None) -> str:
         if isinstance(item, str):
             pieces.append(item)
             continue
-        node = net.nodes[item]
-        if node.kind == INPUT:
-            pieces.append(names[node.args[0]])
-        elif node.kind == CONST:
-            pieces.append(str(node.args[0]))
-        elif node.kind == NOT:
-            stack += ("'", node.args[0])
+        kind, args = net.nodes[item]
+        if kind == INPUT:
+            pieces.append(names[args[0]])
+        elif kind == CONST:
+            pieces.append(str(args[0]))
+        elif kind == NOT:
+            stack += ("'", args[0])
         else:
-            pieces.append(_OPEN[node.kind])
-            body = [x for c in node.args for x in (",", c)][1:] + [")"]
+            pieces.append(_OPEN[kind])
+            body = [x for c in args for x in (",", c)][1:] + [")"]
             stack += reversed(body)
     return "".join(pieces)
 
@@ -368,35 +364,38 @@ def format_expr(net: Network, names=None) -> str:
 def to_text(net: Network) -> str:
     """Serialize in the line format documented in the module docstring."""
     lines = [f"network {net.n_vars}"]
-    for i, node in enumerate(net.nodes):
-        lines.append(f"{i} {node.kind} " + " ".join(str(a) for a in node.args))
+    for i, (kind, args) in enumerate(net.nodes):
+        lines.append(f"{i} {kind} " + " ".join(str(a) for a in args))
     lines.append(f"output {net.output}")
     return "\n".join(lines) + "\n"
 
 
+# a number as str(n) writes it for n >= 0: ASCII digits, no sign,
+# underscore or leading zero
+_NUMBER = re.compile(r"0|[1-9][0-9]*")
+
+
+def _number(word: str, what: str, line: str) -> int:
+    if not _NUMBER.fullmatch(word):
+        raise ValueError(f"bad {what} line {line!r}")
+    return int(word)
+
+
 def from_text(text: str) -> Network:
-    """Parse the to_text format back into a Network."""
+    """Parse the to_text format back into a Network.  Every number must
+    be written as to_text writes it."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("network "):
         raise ValueError("serialized network must start with 'network <n>'")
-    try:
-        n_vars = int(lines[0].removeprefix("network "))
-    except ValueError:
-        raise ValueError(f"bad header line {lines[0]!r}") from None
+    n_vars = _number(lines[0].removeprefix("network "), "header", lines[0])
     if not lines[-1].startswith("output "):
         raise ValueError("serialized network must end with 'output <id>'")
-    try:
-        output = int(lines[-1].removeprefix("output "))
-    except ValueError:
-        raise ValueError(f"bad output line {lines[-1]!r}") from None
+    output = _number(lines[-1].removeprefix("output "), "output", lines[-1])
     nodes = []
     for expected, line in enumerate(lines[1:-1]):
         parts = line.split()
-        if len(parts) < 3 or parts[0] != str(expected):
+        if (len(parts) < 3 or parts[0] != str(expected)
+                or not all(map(_NUMBER.fullmatch, parts[2:]))):
             raise ValueError(f"bad node line {line!r}")
-        try:
-            args = tuple(int(p) for p in parts[2:])
-        except ValueError:
-            raise ValueError(f"bad node line {line!r}") from None
-        nodes.append(Node(parts[1], args))
+        nodes.append(Node(parts[1], tuple(map(int, parts[2:]))))
     return Network(n_vars, tuple(nodes), output)

@@ -80,6 +80,7 @@ def test_malformed_text_raises_with_position():
         "2": 0,
         "M(A,,B)": 4,
         "A B": 2,
+        "M(A B,C)": 4,
     }
     for text, pos in cases.items():
         with pytest.raises(ParseError) as exc:

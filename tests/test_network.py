@@ -74,6 +74,15 @@ def test_hash_consing_merges_identical_gates():
     assert g1 == g2
     net = b.build(g1)
     assert cost(net).maj3_count == 1
+    # the pool holds each node once, as its own key
+    assert all(node is key for node, key in zip(net.nodes, b._nodes))
+
+
+def test_a_node_is_its_kind_args_tuple():
+    node = Node("maj3", (0, 1, 2))
+    assert node == ("maj3", (0, 1, 2))
+    assert hash(node) == hash(("maj3", (0, 1, 2)))
+    assert repr(Node("input", (0,))) == "Node(kind='input', args=(0,))"
 
 
 def test_builder_rejects_bad_inputs():
@@ -98,6 +107,12 @@ def test_network_validates_structure():
     with pytest.raises(ValueError):
         # children must precede their gate
         Network(1, (Node("not", (1,)), Node("input", (0,))), 0)
+    with pytest.raises(ValueError):
+        Network(0, (Node("const", (0,)),), 0)  # no inputs
+    with pytest.raises(ValueError):
+        Network(1, (Node("input", (1,)),), 0)  # variable out of range
+    with pytest.raises(ValueError):
+        Network(1, (Node("const", (2,)),), 0)  # constant not 0 or 1
 
 
 def test_cost_census_counts_shared_nodes_once():
@@ -153,6 +168,8 @@ def test_combined_cost_requires_shared_pool():
     n2 = b2.build(b2.maj3(b2.input(0), b2.input(1), b2.const(1)))
     with pytest.raises(ValueError):
         combined_cost([n1, n2])
+    with pytest.raises(ValueError):
+        combined_cost([])
 
 
 def test_verify_reports_equivalence():
@@ -181,6 +198,8 @@ def test_order_note_spells_out_convention():
     note = order_note(3)
     assert note == ("variable order A,B,C with A as the most significant "
                     "minterm bit")
+    with pytest.raises(CapacityError):
+        order_note(27)  # past the 26 default names
 
 
 def test_truth_table_capacity_ceiling():
@@ -211,7 +230,14 @@ def test_from_text_rejects_malformed_input():
     for bad in ["", "bogus", "network x\noutput 0",
                 "network 1\n0 input 0\n", "network 1\n5 input 0\noutput 0",
                 "network 3 junk\n0 input 0\noutput 0\n",
-                "network 3\n0 input 0\noutput 0 junk\n"]:
+                "network 3\n0 input 0\noutput 0 junk\n",
+                "network 1\n0 input x\noutput 0",
+                # numbers that to_text never writes
+                "network +1\n0 input 0\noutput 0",
+                "network 1\n0 input \uff10\noutput 0",
+                "network 1\n0 input -0\noutput 0",
+                "network 1\n0 input 0\noutput 0_0",
+                "network 1\n0 input 0\noutput \u0660"]:
         with pytest.raises(ValueError):
             from_text(bad)
 

@@ -44,6 +44,8 @@ def test_constant_tables():
     assert TruthTable.constant(3, 0).minterms() == frozenset()
     assert TruthTable.constant(3, 1).minterms() == frozenset(range(8))
     assert TruthTable.constant(1, 1).bits == (1, 1)
+    with pytest.raises(ValueError):
+        TruthTable.constant(3, 2)
 
 
 def test_bits_length_must_match_n_vars():
