@@ -382,9 +382,11 @@ def _number(word: str, what: str, line: str) -> int:
 
 
 def from_text(text: str) -> Network:
-    """Parse the to_text format back into a Network.  Every number must
-    be written as to_text writes it."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Parse the to_text format back into a Network.  Every number and
+    space must be written as to_text writes it: one ASCII space between
+    words, a bare newline after each line and no other whitespace.
+    Empty lines are skipped."""
+    lines = [ln for ln in text.split("\n") if ln]
     if not lines or not lines[0].startswith("network "):
         raise ValueError("serialized network must start with 'network <n>'")
     n_vars = _number(lines[0].removeprefix("network "), "header", lines[0])
@@ -393,7 +395,7 @@ def from_text(text: str) -> Network:
     output = _number(lines[-1].removeprefix("output "), "output", lines[-1])
     nodes = []
     for expected, line in enumerate(lines[1:-1]):
-        parts = line.split()
+        parts = line.split(" ")
         if (len(parts) < 3 or parts[0] != str(expected)
                 or not all(map(_NUMBER.fullmatch, parts[2:]))):
             raise ValueError(f"bad node line {line!r}")

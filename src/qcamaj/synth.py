@@ -31,6 +31,17 @@ A solving gate's network is its whole chain, so the levels stop at the
 most gates a cone of max_levels depth can hold, and a tight level budget
 ends the search early.
 
+A level's groups and row table depend only on (n_vars, allow_maj5,
+max_levels), never on the targets, which only pick the level where the
+search stops.  _LEVELS keeps them for later calls in the process, each
+level built the first time a call reaches it, so the first call under
+a budget pays for the build and the next ones only scan.  It holds one
+key at a time: a call under another key drops the held levels first,
+so the cache keeps no more than one search of that budget allocates
+(about 1.1 MB for the default budget and 3.9 MB for SearchBudget(5, 5,
+False) by tracemalloc).  Cached levels are read-only; the lazy fills in
+_Rows give the same bytes whoever asks first.
+
 Among the networks that realize a target with the fewest majority gates,
 the result minimizes (gate_count, levels, inverter_count) and finally the
 serialized text.  The scan keeps every candidate that ties the best key,
@@ -47,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import threading
 from dataclasses import dataclass
 
 from .errors import CapacityError
@@ -81,6 +93,11 @@ class SearchBudget:
 
 _BYTE = 0xFF    # a table of up to three variables fits one byte
 _COMBOS: dict[tuple, list] = {}     # _Searcher._combos, built on first use
+# _Searcher._level: (n_vars, allow_maj5, max_levels) -> each level's
+# (groups, rows), built on first use; one key at a time.  Threads that
+# reach an unbuilt level together would append it twice without the lock
+_LEVELS: dict[tuple, list] = {}
+_LEVELS_LOCK = threading.Lock()
 
 
 class _Chain:
@@ -427,20 +444,34 @@ class _Searcher:
             top, width = top + width, width * fan_in
         top = min(top, self.budget.max_gates)
 
-        # states in groups of one parent's children, each child a code;
-        # level 1 has one state, the empty chain
-        groups: list[tuple] = [(_Chain((), (), ()), {0: None})]
         for level in range(1, top + 1):
-            combos = self._combos(self.nbase + level - 1)
-            rows = _Rows(self, combos, [p for p, _ in groups], level)
-            best = self._scan(level, groups, rows, unsolved)
+            best = self._scan(level, *self._level(level), unsolved)
             for t, text in best.items():
                 solutions[t] = from_text(text)
             unsolved -= best.keys()
-            if not unsolved or level == top:
+            if not unsolved:
                 break
-            groups = self._grow(level, groups, rows)
         return solutions
+
+    def _level(self, level: int) -> tuple[list, _Rows]:
+        """The groups and row table of a level, from _LEVELS, building
+        the levels up to it that no call has reached yet."""
+        key = (self.n, self.budget.allow_maj5, self.budget.max_levels)
+        with _LEVELS_LOCK:
+            levels = _LEVELS.get(key)
+            if levels is None:
+                _LEVELS.clear()
+                levels = _LEVELS[key] = []
+            while len(levels) < level:
+                k = len(levels) + 1
+                # states in groups of one parent's children, each child a
+                # code; level 1 has one state, the empty chain
+                groups = (self._grow(k - 1, *levels[-1]) if levels
+                          else [(_Chain((), (), ()), {0: None})])
+                combos = self._combos(self.nbase + k - 1)
+                levels.append((groups, _Rows(self, combos,
+                                             [p for p, _ in groups], k)))
+            return levels[level - 1]
 
 
 def synthesize(spec: TruthTable, budget: SearchBudget | None = None):

@@ -237,7 +237,18 @@ def test_from_text_rejects_malformed_input():
                 "network 1\n0 input \uff10\noutput 0",
                 "network 1\n0 input -0\noutput 0",
                 "network 1\n0 input 0\noutput 0_0",
-                "network 1\n0 input 0\noutput \u0660"]:
+                "network 1\n0 input 0\noutput \u0660",
+                # spacing that to_text never writes
+                "network 1\n0\tinput   0\noutput 0",
+                "network 1\n0 input  0\noutput 0",
+                "network\t1\n0 input 0\noutput 0",
+                "network 1\n0 input 0 \noutput 0",
+                " network 1\n0 input 0\noutput 0",
+                "network 1\n\u20030 input 0\noutput 0",
+                "network 1\n0 input 0\noutput 0\u00a0",
+                "network 1\r\n0 input 0\r\noutput 0\r\n",
+                "network 1\n \n0 input 0\noutput 0",
+                "network 1\u20280 input 0\u2028output 0"]:
         with pytest.raises(ValueError):
             from_text(bad)
 

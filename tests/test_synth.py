@@ -2,7 +2,11 @@
 budget handling, and the full three-variable atlas."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +24,7 @@ from qcamaj import (
     truth_table,
     verify,
 )
+from qcamaj import synth
 from qcamaj.errors import CapacityError
 from qcamaj.network import reachable
 from qcamaj.synth import _Rows, _Searcher
@@ -232,6 +237,82 @@ def test_operand_tuples_are_built_once_per_key():
     no_maj5 = _Searcher(3, SearchBudget(allow_maj5=False))._combos(9)
     assert no_maj5 != full and {len(c) for c in no_maj5} == {3}
     assert _Searcher(2, SearchBudget())._combos(9) != full
+
+
+# one target per minimum majority count 0-3 under each budget
+BY_CLASS = {SearchBudget(): {0: 15, 1: 7, 2: 22, 3: 24},
+            SearchBudget(5, 5, False): {0: 15, 1: 23, 2: 7, 3: 27}}
+
+
+@pytest.mark.parametrize("budget", list(BY_CLASS))
+def test_levels_built_for_one_target_answer_another(budget):
+    # an answer on levels a different target built, in either order,
+    # equals the answer on levels built cold for it alone
+    specs = {c: TruthTable.from_int(3, t) for c, t in BY_CLASS[budget].items()}
+    cold = {}
+    for c, spec in specs.items():
+        synth._LEVELS.clear()
+        net = synthesize(spec, budget)
+        assert cost(net).maj3_count + cost(net).maj5_count == c
+        cold[c] = to_text(net)
+    for first in specs:
+        for then in specs:
+            if first != then:
+                synth._LEVELS.clear()
+                synthesize(specs[first], budget)
+                assert to_text(synthesize(specs[then], budget)) == cold[then]
+
+
+def test_levels_are_built_once_per_key(monkeypatch):
+    grow = _Searcher._grow
+    grown = []
+
+    def counted(self, level, groups, rows):
+        grown.append(level)
+        return grow(self, level, groups, rows)
+
+    monkeypatch.setattr(_Searcher, "_grow", counted)
+    monkeypatch.setattr(synth, "_LEVELS", {})
+    spec = TruthTable.from_int(3, BY_CLASS[SearchBudget()][3])
+    # max_gates only sets the level where a search stops
+    for budget in (SearchBudget(), SearchBudget(), SearchBudget(max_gates=6)):
+        synthesize(spec, budget)
+    assert grown == [1, 2]
+    # another key's levels are built from level 1 and replace the held ones
+    for budget in (SearchBudget(max_levels=4), SearchBudget(allow_maj5=False)):
+        grown.clear()
+        synthesize(spec, budget)
+        assert grown and grown == list(range(1, len(grown) + 1))
+        assert list(synth._LEVELS) == [
+            (3, budget.allow_maj5, budget.max_levels)]
+
+
+def test_threads_build_each_level_once():
+    # more threads than cores reach the unbuilt levels together
+    spec = TruthTable.from_int(3, BY_CLASS[SearchBudget()][3])
+    synth._LEVELS.clear()
+    want = to_text(synthesize(spec))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            synth._LEVELS.clear()
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda _: to_text(synthesize(spec)),
+                                    range(8), timeout=60))
+            assert got == [want] * 8
+            assert [len(v) for v in synth._LEVELS.values()] == [3]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_import_builds_no_levels():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import qcamaj.cli, qcamaj.synth; print(qcamaj.synth._LEVELS)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "{}\n")
 
 
 def test_synthesized_networks_only_invert_inputs(atlas):

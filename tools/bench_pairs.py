@@ -8,11 +8,14 @@
 script sits in.  Pair k runs `perfbench/run.py --seed k` on every
 workload that BENCHMARK.json lists, for its `run_seconds`, once per
 side, one run at a time; odd seeds run the parent first, even seeds the change.  The output
-JSON holds, per workload and end-to-end metric, both sides' medians
-and quartiles, the number of pairs the change won, whether every
-change run beat every parent run, and how many parent interquartile
-ranges the medians lie apart; then every run's metrics and the lines
-of its report.
+JSON holds, per workload, both sides' median number of requests
+attempted (a run that completes more requests keeps more latencies, so
+its `peak_rss_mb` reads higher) and, per end-to-end metric, both sides'
+medians and quartiles, the median relative loss beside the metric's
+bound, the number of pairs the change won, whether every change run
+beat every parent run, and how many parent interquartile ranges the
+medians lie apart; then every run's metrics and the lines of its
+report.
 
 Before the first run both trees' bytecode caches are brought up to
 date.  perfbench/run.py times fresh imports for `setup_s`; with
@@ -66,11 +69,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
         pairs = {}
-        for r in runs:
-            if r["workload"] == workload:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
-        rows = summary[workload] = {}
+        for r in mine:
+            pairs.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
+        rows = summary[workload] = {"attempted_median": {
+            side: statistics.median(r["attempted"] for r in mine
+                                    if r["side"] == side)
+            for side in ("parent", "change")}}
         for metric in metrics:
             name = metric["name"]
             sign = 1 if metric["better"] == "lower" else -1
@@ -81,11 +87,16 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             won = sum(sign * p["change"][name] < sign * p["parent"][name]
                       for p in pairs.values())
             iqr = q_parent[2] - q_parent[0]
-            gap = sign * (statistics.median(parent)
-                          - statistics.median(change))
+            m_parent = statistics.median(parent)
+            m_change = statistics.median(change)
+            gap = sign * (m_parent - m_change)
             rows[name] = {
-                "parent_median": statistics.median(parent),
-                "change_median": statistics.median(change),
+                "parent_median": m_parent,
+                "change_median": m_change,
+                # the median loss (negative: a gain) as a share of the
+                # parent's median, beside the bound BENCHMARK.json sets it
+                "median_loss": -gap / m_parent if m_parent else None,
+                "bound": metric["bound"],
                 "parent_quartiles": [q_parent[0], q_parent[2]],
                 "change_quartiles": [q_change[0], q_change[2]],
                 "change_better_in_pairs": f"{won} of {len(pairs)}",
