@@ -296,12 +296,12 @@ def verify(net: Network, spec: TruthTable, names=None) -> VerifyReport:
             f"network has {net.n_vars} inputs but the reference table "
             f"has {spec.n_vars}"
         )
-    computed = truth_table(net).minterms()
-    differing = computed ^ spec.minterms()
+    computed = truth_table(net)
+    differing = TruthTable.from_int(net.n_vars, computed.table ^ spec.table)
     return VerifyReport(
-        equivalent=not differing,
-        differing_minterms=differing,
-        computed_minterms=computed,
+        equivalent=not differing.table,
+        differing_minterms=differing.minterms(),
+        computed_minterms=computed.minterms(),
         variable_order_note=order_note(net.n_vars, names),
     )
 

@@ -4,9 +4,10 @@ The search deepens iteratively on the number of majority gates.  A state
 is a chain of gates; a gate's operands come from the closed candidate
 set, which holds the constants, the literals in both polarities, and
 every gate already in the chain.  Inverters therefore appear only on
-inputs; that loses no generality because inversion commutes with
-majority (push any interior inverter toward the leaves) and it keeps the
-candidate set closed.  Truth tables are kept in the int form of
+inputs, which keeps the candidate set closed.  For the majority count
+that loses no generality, as inversion commutes with majority (push any
+interior inverter toward the leaves); the inverter term of the cost
+below is minimal only over such networks.  Truth tables are ints, as in
 truthtable.py.  Operand tuples are built once per process and omit
 trivial multisets (a repeated majority operand beyond what a five-input
 pair exploits, both constants at once, or a complementary literal pair).
@@ -42,16 +43,16 @@ so the cache keeps no more than one search of that budget allocates
 False) by tracemalloc).  Cached levels are read-only; the lazy fills in
 _Rows give the same bytes whoever asks first.
 
-Among the networks that realize a target with the fewest majority gates,
-the result minimizes (gate_count, levels, inverter_count) and finally the
-serialized text.  The scan keeps every candidate that ties the best key,
-writes the to_text form of each straight from its chain, and builds a
-Network only for the winner.  Repeated runs therefore return
-byte-identical answers.  The tests check every three-variable
-function's minimum majority count against the independent search in
-tests/_oracles.py under two budgets, and freeze the atlas text by hash.
-A target that cannot be reached inside the budget yields None rather
-than an exception.
+Among the networks with inverters on inputs that realize a target with
+the fewest majority gates, the result minimizes (gate_count, levels,
+inverter_count) and finally the serialized text.  The scan keeps every
+candidate that ties the best key, writes the to_text form of each
+straight from its chain, and builds a Network only for the winner.
+Repeated runs therefore return byte-identical answers.  The tests check
+every three-variable function's minimum majority count against the
+independent search in tests/_oracles.py under two budgets, and freeze
+the atlas text by hash.  A target that cannot be reached inside the
+budget yields None rather than an exception.
 """
 
 from __future__ import annotations
@@ -488,8 +489,7 @@ def synthesize(spec: TruthTable, budget: SearchBudget | None = None):
         )
     budget = budget or SearchBudget()
     searcher = _Searcher(spec.n_vars, budget)
-    target = spec.to_int()
-    return searcher.run({target}).get(target)
+    return searcher.run({spec.table}).get(spec.table)
 
 
 @dataclass(frozen=True)
@@ -512,10 +512,9 @@ def synthesize_all_3var(budget: SearchBudget | None = None) -> list[AtlasEntry]:
     solutions = searcher.run(set(range(256)))
     entries = []
     for t in range(256):
-        minterms = TruthTable.from_int(3, t).minterms()
         net = solutions.get(t)
         entries.append(AtlasEntry(
-            minterms=minterms,
+            minterms=TruthTable.from_int(3, t).minterms(),
             network=net,
             expression=format_expr(net) if net else None,
             cost=cost(net) if net else None,

@@ -1,23 +1,24 @@
 """Truth tables for Boolean functions of up to eight variables.
 
-A function is stored as a flat bit vector indexed by minterm number.
-Variable 0 supplies the most significant bit of the minterm index, so for
-three variables named A, B, C the index of an assignment is 4A + 2B + C.
-Every module in this package follows that convention, and verification
-reports repeat it so results stay attributable to an ordering.
+A function of n variables is one int of 2**n bits: bit k is the value
+at minterm k.  Variable 0 supplies the most significant bit of the
+minterm index, so for three variables named A, B, C the index of an
+assignment is 4A + 2B + C.  Every module in this package follows that
+convention, and verification reports repeat it so results stay
+attributable to an ordering.
 
-The same vector has an int form, whose bit k is the value at minterm k.
-TruthTable.to_int and TruthTable.from_int convert between the forms;
-var_table, maj3 and maj5 work on ints, so one bitwise operation
-evaluates a gate on every row at once.  Two other modules compute in
-this form: network.truth_table, which builds the all-rows mask, and
-synth, which packs tables into byte lanes, one per parent chain.
+TruthTable stores n_vars and that int and nothing else; its bits
+property spells the int out in minterm order.  var_table, maj3 and maj5
+work on the same ints, so one bitwise operation evaluates a gate on
+every row at once.  network.truth_table builds a network's table that
+way, and synth packs tables into byte lanes, one per parent chain.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import ArityError, MintermRangeError, ParseError
@@ -32,26 +33,32 @@ def _check_n_vars(n_vars: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TruthTable:
-    """Bit vector of a Boolean function, one bit per minterm.
+    """A Boolean function as the int whose bit k is its value at minterm k.
 
-    Two tables are equal exactly when their variable counts and bit
-    vectors are equal, so structural equality is semantic equality.
+    TruthTable(n_vars, bits) and the bits property hold the values as a
+    tuple in minterm order.  Equal n_vars and ints mean equal functions.
     """
 
     n_vars: int
-    bits: tuple[int, ...]
+    table: int
 
-    def __post_init__(self):
-        _check_n_vars(self.n_vars)
-        if len(self.bits) != 1 << self.n_vars:
+    def __init__(self, n_vars: int, bits: Sequence[int]):
+        _check_n_vars(n_vars)
+        if len(bits) != 1 << n_vars:
             raise ValueError(
-                f"expected {1 << self.n_vars} bits for {self.n_vars} "
-                f"variables, got {len(self.bits)}"
+                f"expected {1 << n_vars} bits for {n_vars} "
+                f"variables, got {len(bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("truth table bits must be 0 or 1")
+        vars(self).update(n_vars=n_vars,
+                          table=sum(1 << k for k, b in enumerate(bits) if b))
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple((self.table >> k) & 1 for k in range(1 << self.n_vars))
 
     @classmethod
     def from_minterms(cls, n_vars: int, minterms: Iterable[int]) -> "TruthTable":
@@ -62,19 +69,19 @@ class TruthTable:
         """
         _check_n_vars(n_vars)
         size = 1 << n_vars
-        bits = [0] * size
+        table = 0
         for m in minterms:
             if not 0 <= m < size:
                 raise MintermRangeError(m, n_vars)
-            bits[m] = 1
-        return cls(n_vars, tuple(bits))
+            table |= 1 << m
+        return cls.from_int(n_vars, table)
 
     @classmethod
     def constant(cls, n_vars: int, value: int) -> "TruthTable":
         """All-zero or all-one table."""
         if value not in (0, 1):
             raise ValueError(f"constant value must be 0 or 1, got {value}")
-        return cls(n_vars, (value,) * (1 << n_vars))
+        return cls.from_int(n_vars, (1 << (1 << n_vars)) - 1 if value else 0)
 
     def eval(self, assignment: Sequence[int]) -> int:
         """Look up the function value for one variable assignment.
@@ -85,11 +92,13 @@ class TruthTable:
         index = 0
         for v in check_row(assignment, self.n_vars):
             index = (index << 1) | v
-        return self.bits[index]
+        return (self.table >> index) & 1
 
     def minterms(self) -> frozenset[int]:
         """Indices where the function is 1.  Inverse of from_minterms."""
-        return frozenset(i for i, b in enumerate(self.bits) if b)
+        # digit k of the reversed numeral is bit k, and b"\0" is false
+        digits = f"{self.table:b}"[::-1].encode().replace(b"0", b"\0")
+        return frozenset(compress(count(), digits))
 
     @classmethod
     def from_int(cls, n_vars: int, table: int) -> "TruthTable":
@@ -98,11 +107,13 @@ class TruthTable:
         size = 1 << n_vars
         if not 0 <= table < 1 << size:
             raise ValueError(f"table must lie in 0 .. 2**{size} - 1, got {table}")
-        return cls(n_vars, tuple((table >> k) & 1 for k in range(size)))
+        tt = cls.__new__(cls)
+        vars(tt).update(n_vars=n_vars, table=table)
+        return tt
 
     def to_int(self) -> int:
         """Int form: bit k is the value at minterm k.  Inverse of from_int."""
-        return sum(b << k for k, b in enumerate(self.bits))
+        return self.table
 
 
 def check_row(assignment: Sequence[int], n_vars: int) -> list[int]:

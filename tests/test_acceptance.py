@@ -11,6 +11,7 @@ import time
 import pytest
 
 from qcamaj import (
+    SearchBudget,
     TruthTable,
     adder_classic,
     adder_classic_simplified,
@@ -187,3 +188,23 @@ def test_criterion_8_negating_all_drivers_negates_every_polarization():
         rm = relax(minus)
         for a, b in zip(rp.polarizations, rm.polarizations):
             assert abs(a + b) <= 1e-9
+
+
+def test_criterion_9_five_input_gates_never_cost_more_and_save_on_216_of_256():
+    # both majority counts are checked against tests/_oracles.py in
+    # tests/test_synth.py
+    with_maj5 = synthesize_all_3var()
+    maj3_only = synthesize_all_3var(SearchBudget(4, 4, False))
+    saved = fewer_levels = same = 0
+    for a, b in zip(with_maj5, maj3_only):
+        majority = a.cost.maj3_count + a.cost.maj5_count
+        assert majority <= b.cost.maj3_count, a.minterms
+        assert a.cost.levels <= b.cost.levels, a.minterms
+        if majority < b.cost.maj3_count:
+            assert a.cost.gate_count < b.cost.gate_count, a.minterms
+            saved += 1
+            fewer_levels += a.cost.levels < b.cost.levels
+        else:
+            assert a.expression == b.expression, a.minterms
+            same += 1
+    assert (saved, fewer_levels, same) == (216, 64, 40)

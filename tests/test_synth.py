@@ -2,6 +2,7 @@
 budget handling, and the full three-variable atlas."""
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -17,7 +18,9 @@ from qcamaj import (
     TruthTable,
     atlas_to_text,
     cost,
+    format_expr,
     from_text,
+    parse_expr,
     synthesize,
     synthesize_all_3var,
     to_text,
@@ -131,6 +134,63 @@ def test_solution_is_lexicographic_minimum_on_cost(atlas, oracle_counts):
     entry = next(e for e in atlas if e.minterms == frozenset({1, 2, 4, 7}))
     assert (entry.cost.gate_count, entry.cost.levels,
             entry.cost.inverter_count) == (5, 2, 3)
+
+
+def test_inverter_term_is_minimal_only_over_input_inverters():
+    # the documented limit of the claim: one output inverter
+    # (M(x,y,z)' = M(x',y',z')) costs fewer gates than the three input
+    # inverters the search returns, at the same majority count and levels
+    spec = TruthTable.from_minterms(3, {0, 1, 2, 4})
+    found = synthesize(spec)
+    outside = parse_expr("M(A,B,C)'", ("A", "B", "C"))
+    assert format_expr(found) == "M(A',B',C')"
+    assert verify(outside, spec).equivalent
+    a, b = cost(found), cost(outside)
+    assert (a.gate_count, b.gate_count) == (4, 2)
+    assert ((a.maj3_count + a.maj5_count, a.levels)
+            == (b.maj3_count + b.maj5_count, b.levels))
+
+
+def permuted(t, perm):
+    """Table of f(x[perm[0]], x[perm[1]], x[perm[2]]) for f's table t."""
+    out = 0
+    for k in range(8):
+        x = [(k >> (2 - i)) & 1 for i in range(3)]
+        j = 4 * x[perm[0]] + 2 * x[perm[1]] + x[perm[2]]
+        out |= ((t >> j) & 1) << k
+    return out
+
+
+def dual(t):
+    """Table of f(x')' for f's table t: minterm k of x' is minterm 7 - k."""
+    return sum((((t >> (7 - k)) & 1) ^ 1) << k for k in range(8))
+
+
+def test_cost_key_is_invariant_under_input_permutation(atlas, no_maj5_atlas):
+    split_differs = 0
+    for entries in (atlas, no_maj5_atlas):
+        for t, e in enumerate(entries):
+            for perm in itertools.permutations(range(3)):
+                p = entries[permuted(t, perm)].cost
+                assert ((p.gate_count, p.levels, p.inverter_count)
+                        == (e.cost.gate_count, e.cost.levels,
+                            e.cost.inverter_count)), (t, perm)
+                split_differs += p.maj3_count != e.cost.maj3_count
+    # the text tie-break picks the maj3/maj5 split by variable name
+    assert split_differs == 58
+    assert atlas[permuted(24, (2, 1, 0))].minterms == frozenset({1, 6})
+    assert (atlas[24].cost.maj3_count, atlas[24].cost.maj5_count) == (1, 2)
+    assert (atlas[66].cost.maj3_count, atlas[66].cost.maj5_count) == (0, 3)
+
+
+def test_majority_count_and_levels_are_self_dual(atlas, no_maj5_atlas):
+    # majority is self-dual, so f and f(x')' need the same gates
+    for entries in (atlas, no_maj5_atlas):
+        for t, e in enumerate(entries):
+            d = entries[dual(t)].cost
+            assert ((d.maj3_count + d.maj5_count, d.levels)
+                    == (e.cost.maj3_count + e.cost.maj5_count,
+                        e.cost.levels)), t
 
 
 def test_budget_zero_gates_only_solves_trivial_targets():
