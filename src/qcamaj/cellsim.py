@@ -21,8 +21,11 @@ which is what the fork-and-converge inverter exploits.  The face weight
 must clear f's knee with room to spare: a cell fed by a single neighbor
 settles at f(w * p), so w = 2.5 keeps even the last cell of a wire above
 0.9 and lets the face-coupled signal path dominate the weak diagonal
-interference near gate outputs.  A grid looks each cell's couplings up
-by position, one lattice step away, so its build is linear in its cells.
+interference near gate outputs.  Couplings are symmetric, so a grid probes
+the forward half of the lattice steps by position and files each pair it
+finds under both cells, in time linear in its cells.  A sweep adds
+w(i,j) * P_j from 0.0 in sorted-j order, so results are bit-identical to
+probing every step from every cell.
 
 The four-dot polarization convention puts +1 on charge in corners 2 and
 4; the eight-dot cube convention puts +1 on charge in corners 1, 3, 6
@@ -52,12 +55,12 @@ DIAGONAL_WEIGHT = -0.2
 # bounds what one request allocates: a wire's cells, couplings and sweeps
 MAX_WIRE_CELLS = 4096
 
-# the lattice steps to every coupled cell: one nonzero coordinate is a face
-# step (squared length 1), two a diagonal (2); 8 steps in 2D, 18 in 3D
+# the forward half (first nonzero coordinate +1) of the steps to every coupled
+# cell: one nonzero coordinate is a face step, two a diagonal; 4 in 2D, 9 in 3D
 _STEPS = {
     dim: [(step, FACE_WEIGHT if sum(map(abs, step)) == 1 else DIAGONAL_WEIGHT)
           for step in itertools.product((-1, 0, 1), repeat=dim)
-          if 1 <= sum(map(abs, step)) <= 2]
+          if 1 <= sum(map(abs, step)) <= 2 and step > (0,) * dim]
     for dim in (2, 3)
 }
 
@@ -138,17 +141,20 @@ class CellGrid:
             raise ValueError(f"need exactly one output cell, got {len(outputs)}")
         self.cells = cells
         self.output_index = outputs[0]
-        self._weights = []
-        for c in cells:
-            found = []
-            for step, w in _STEPS[dim]:
-                j = index.get(tuple(map(operator.add, c.position, step)))
+        axes = list(zip(*index))    # per coordinate, in cell order
+        found = [[] for _ in cells]
+        for step, w in _STEPS[dim]:
+            moved = zip(*[map(operator.add, axis, itertools.repeat(d))
+                          for axis, d in zip(axes, step)])
+            for i, j in enumerate(map(index.get, moved)):
                 if j is not None:
-                    found.append((j, w))
-            self._weights.append(tuple(sorted(found)))
+                    found[i].append((j, w))
+                    found[j].append((i, w))
+        self._weights = [tuple(sorted(pairs)) for pairs in found]
 
     def coupling(self, i: int, j: int) -> float:
-        return dict(self._weights[i]).get(j, 0.0)
+        inside = 0 <= i < len(self._weights)    # no wrap from the end
+        return dict(self._weights[i]).get(j, 0.0) if inside else 0.0
 
     def neighbors(self, i: int):
         return self._weights[i]
@@ -184,15 +190,17 @@ def relax(grid: CellGrid, tol: float = 1e-6, max_iter: int = 1000
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     p = [c.polarization if c.role == DRIVER else 0.0 for c in grid.cells]
-    active = [i for i, c in enumerate(grid.cells) if c.role != DRIVER]
+    active = [(i, grid.neighbors(i)) for i, c in enumerate(grid.cells)
+              if c.role != DRIVER]
+    f = response
     residuals = []
     for sweep in range(max_iter):
         worst = 0.0
-        for i in active:
+        for i, neighbors in active:
             drive = 0.0
-            for j, w in grid.neighbors(i):
+            for j, w in neighbors:
                 drive += w * p[j]
-            new = response(drive)
+            new = f(drive)
             delta = abs(new - p[i])
             if delta > worst:
                 worst = delta

@@ -13,6 +13,7 @@ per record, for scripting.
 from __future__ import annotations
 
 import argparse
+import re
 import shlex
 import sys
 import time
@@ -63,14 +64,20 @@ def render_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# shlex.quote returns a non-empty value as is exactly when this finds nothing
+_unsafe = re.compile(r"[^\w@%+=:,./-]", re.ASCII).search
+
+
 def render_records(report: RunReport) -> str:
     lines = [f"report command={shlex.quote(report.command)} "
              f"version={shlex.quote(__version__)} "
              f"elapsed_ms={report.elapsed_ms:.1f}"]
     lines += [f"field {k}={shlex.quote(v)}" for k, v in report.fields]
     for r in report.rows:
-        lines.append("row " + " ".join(f"{k}={shlex.quote(v)}"
-                                       for k, v in r.items()))
+        items = r.items()
+        if not all(r.values()) or _unsafe("".join(r.values())):
+            items = [(k, shlex.quote(v)) for k, v in items]
+        lines.append("row " + " ".join(map("=".join, items)))
     return "\n".join(lines) + "\n"
 
 
@@ -214,7 +221,7 @@ def cmd_sim(args) -> tuple[RunReport, int]:
     report.add("final_residual", f"{result.residuals[-1]:.3e}")
     for i, (cell, p) in enumerate(zip(grid.cells, result.polarizations)):
         report.add_row(cell=i,
-                       pos=",".join(str(x) for x in cell.position),
+                       pos=",".join(map(str, cell.position)),
                        role=cell.role, polarization=f"{p:+.6f}")
     return report, 0
 

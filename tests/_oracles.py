@@ -8,11 +8,18 @@ network.  Test expectations are frozen from these, so the package and the
 oracles have to agree through two separate code paths.  parse_reference
 is the package's former character-by-character expression parser, kept
 as the differential oracle for the regex tokenizer that replaced it.
+couplings_reference and relax_reference are the cell layer's former
+coupling build and sweep loop, kept as the exactness oracle for the
+forward-half probe and the hoisted sweep that replaced them.
 """
 
 import itertools
+import math
+import operator
 
-from qcamaj.errors import ParseError, UnknownVariableError
+from qcamaj.cellsim import (DIAGONAL_WEIGHT, DRIVER, FACE_WEIGHT,
+                            RelaxResult)
+from qcamaj.errors import ConvergenceError, ParseError, UnknownVariableError
 from qcamaj.network import NetworkBuilder, check_names
 
 
@@ -189,6 +196,60 @@ def parse_reference(builder: NetworkBuilder, text: str,
     above."""
     names = check_names(variable_names, builder.n_vars)
     return _parse(_tokenize(text), names, builder, len(text))
+
+
+# the former cell layer, verbatim but for its inputs: every one of the 8
+# (2D) or 18 (3D) lattice steps is probed from every cell
+
+_STEPS = {
+    dim: [(step, FACE_WEIGHT if sum(map(abs, step)) == 1 else DIAGONAL_WEIGHT)
+          for step in itertools.product((-1, 0, 1), repeat=dim)
+          if 1 <= sum(map(abs, step)) <= 2]
+    for dim in (2, 3)
+}
+
+
+def couplings_reference(cells) -> list:
+    """The former CellGrid couplings of valid `cells`: per cell, its
+    sorted (j, weight) pairs."""
+    dim = len(cells[0].position)
+    index = {c.position: i for i, c in enumerate(cells)}
+    weights = []
+    for c in cells:
+        found = []
+        for step, w in _STEPS[dim]:
+            j = index.get(tuple(map(operator.add, c.position, step)))
+            if j is not None:
+                found.append((j, w))
+        weights.append(tuple(sorted(found)))
+    return weights
+
+
+def relax_reference(grid, tol: float = 1e-6, max_iter: int = 1000
+                    ) -> RelaxResult:
+    """The former cellsim.relax sweep loop, over
+    couplings_reference(grid.cells) and its own copy of the response; it
+    leaves the argument checks to the package."""
+    weights = couplings_reference(grid.cells)
+    p = [c.polarization if c.role == DRIVER else 0.0 for c in grid.cells]
+    active = [i for i, c in enumerate(grid.cells) if c.role != DRIVER]
+    residuals = []
+    for sweep in range(max_iter):
+        worst = 0.0
+        for i in active:
+            drive = 0.0
+            for j, w in weights[i]:
+                drive += w * p[j]
+            new = drive / math.sqrt(1.0 + drive * drive)
+            delta = abs(new - p[i])
+            if delta > worst:
+                worst = delta
+            p[i] = new
+        residuals.append(worst)
+        if worst < tol:
+            return RelaxResult(tuple(p), sweep + 1, tuple(residuals),
+                               grid.output_index)
+    raise ConvergenceError(max_iter, residuals[-1])
 
 
 def minterms_of_expr(text, names):

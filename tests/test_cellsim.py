@@ -156,6 +156,27 @@ def test_neighbors_follow_the_squared_distance_rule(positions):
         assert list(grid.neighbors(i)) == expected
 
 
+@given(GRIDS, st.data())
+def test_coupling_is_symmetric_for_every_index(positions, data):
+    grid = CellGrid([Cell(pos) for pos in positions[:-1]]
+                    + [Cell(positions[-1], OUTPUT)])
+    n = len(positions)
+    # an index outside range(n) reads 0.0 on either side
+    index = st.integers(-n, 2 * n - 1)
+    for _ in range(20):
+        i, j = data.draw(index), data.draw(index)
+        assert grid.coupling(i, j) == grid.coupling(j, i)
+        if not (0 <= i < n and 0 <= j < n):
+            assert grid.coupling(i, j) == 0.0
+
+
+def test_coupling_reads_zero_off_the_cell_list():
+    grid = build_wire(5, 1.0)
+    assert grid.coupling(2, 3) == grid.coupling(3, 2) == FACE_WEIGHT
+    assert grid.coupling(-1, 3) == grid.coupling(3, -1) == 0.0
+    assert grid.coupling(5, 4) == grid.coupling(4, 5) == 0.0
+
+
 def test_response_shape():
     assert response(0.0) == 0.0
     assert response(1.0) == pytest.approx(1 / math.sqrt(2))
@@ -332,3 +353,57 @@ def test_read_logic_threshold_band():
         read_logic(result, threshold=1.0)
     with pytest.raises(ValueError):
         read_logic(result, threshold=-0.1)
+
+
+# exactness against the former coupling build and sweep loop -------------
+
+
+def relax_outcome(relax_fn, grid, **kwargs):
+    """Everything a relaxation gives, as reprs, so -0.0 differs from 0.0."""
+    try:
+        r = relax_fn(grid, **kwargs)
+    except ConvergenceError as e:
+        return "ConvergenceError", e.sweeps, repr(e.residual), str(e)
+    return (repr(r.polarizations), r.sweeps, repr(r.residuals),
+            r.output_index)
+
+
+def assert_matches_reference(grid, **kwargs):
+    assert ([grid.neighbors(i) for i in range(len(grid.cells))]
+            == _oracles.couplings_reference(grid.cells))
+    assert (relax_outcome(relax, grid, **kwargs)
+            == relax_outcome(_oracles.relax_reference, grid, **kwargs))
+
+
+def test_every_gate_row_matches_the_reference_exactly():
+    grids = [build_inverter(p) for p in (1.0, -1.0)]
+    grids += [build_maj3(*bits_to_p(bits))
+              for bits in itertools.product((0, 1), repeat=3)]
+    grids += [build_maj5(*bits_to_p(bits))
+              for bits in itertools.product((0, 1), repeat=5)]
+    for grid in grids:
+        assert_matches_reference(grid)
+        assert_matches_reference(grid, max_iter=2)
+
+
+def test_wires_match_the_reference_exactly():
+    for length in (*range(2, 65), 1000, MAX_WIRE_CELLS):
+        for p in (1.0, -1.0):
+            assert_matches_reference(build_wire(length, p))
+    assert_matches_reference(build_wire(1000, -1.0), max_iter=3)
+
+
+DRIVES = st.floats(-1, 1, allow_nan=False) | st.sampled_from((0.0, -0.0))
+
+
+@given(GRIDS, st.data(), st.integers(1, 200))
+def test_random_grids_match_the_reference_exactly(positions, data,
+                                                  max_iter):
+    # None marks a free cell, a float a driver holding it
+    drives = data.draw(st.lists(st.none() | DRIVES,
+                                min_size=len(positions) - 1,
+                                max_size=len(positions) - 1))
+    cells = [Cell(pos) if p is None else Cell(pos, DRIVER, p)
+             for pos, p in zip(positions, drives)]
+    grid = CellGrid(cells + [Cell(positions[-1], OUTPUT)])
+    assert_matches_reference(grid, max_iter=max_iter)

@@ -7,8 +7,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from qcamaj.cli import main
+from qcamaj.cli import RunReport, main, render_records
 
 
 def run(capsys, *argv):
@@ -151,6 +152,22 @@ def test_records_rows_round_trip_through_shlex(capsys):
     assert roles.count("output") == 1
     out_row = next(r for r in rows if r["role"] == "output")
     assert fields["output_polarization"] == out_row["polarization"]
+
+
+# characters shlex.quote leaves alone, characters it quotes, and letters
+# that are \w in Unicode but not in ASCII, so unsafe to shlex
+QUOTED_CHARS = "aZ09_@%+=:,./-" + " '(\"$\\" + "é٣"
+
+
+@given(st.lists(st.dictionaries(st.sampled_from(("cell", "pos", "role", "p")),
+                                st.text(QUOTED_CHARS, max_size=6),
+                                min_size=1), max_size=4))
+@example([{"v": c} for c in QUOTED_CHARS] + [{"v": ""}, {"a": "x", "b": ""}])
+def test_records_rows_quote_each_value_as_shlex_does(rows):
+    lines = render_records(RunReport("sim", rows=rows)).splitlines()
+    assert lines[1:] == ["row " + " ".join(f"{k}={shlex.quote(v)}"
+                                           for k, v in r.items())
+                         for r in rows]
 
 
 def test_audit_tables_records(capsys):

@@ -24,6 +24,7 @@ COMMANDS = (
     ["adders"],
     ["audit-tables"],
     ["sim", "maj3", "101"],
+    ["sim", "wire", "1", "--length", "1000"],
 )
 
 
@@ -65,6 +66,11 @@ def test_tracer_records_every_target_and_restores_the_originals(spans,
     synths = [s for s in tracer.spans if s.name == "synth.synthesize"]
     assert [s.counts["table"] for s in synths] == [66]
     assert synths[0].counts["default_budget"] and synths[0].counts["found"]
+    wire = COMMANDS.index(["sim", "wire", "1", "--length", "1000"])
+    cells = {s.name: s.counts for s in tracer.spans
+             if s.request == wire and s.name.startswith("cellsim.")}
+    assert cells["cellsim.build"]["cells"] == 1000
+    assert cells["cellsim.relax"]["sweeps"] == 5
 
     assert TruthTable.__dict__["from_minterms"] is from_minterms
     # every function and class the modules held before, by identity
