@@ -12,7 +12,13 @@ the saturating response
     P_i  <-  f( sum_j w(i,j) * P_j ),    f(x) = x / sqrt(1 + x*x)
 
 using the latest neighbor values.  Relaxation stops when the largest
-polarization change in a sweep drops below the tolerance.
+polarization change in a sweep drops below the tolerance.  The list order
+acts as the clock schedule that real QCA gets from clock zones: a cell
+listed earlier settles first.  The inverter depends on it; with its free
+cells listed in reverse, driver +1 reads +0.9256, no inversion.
+tests/_oracles.clocked_relax settles the cells zone by zone outward from
+the drivers before the sweep, and reads every gate row as relax does,
+under any order.
 
 Couplings come from lattice geometry alone: +2.5 between face-adjacent
 cells and -0.2 between diagonal cells at squared distance 2, zero
@@ -38,7 +44,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (CapacityError, ChargeError, ConvergenceError,
                      UndecidedError)
@@ -98,8 +104,11 @@ class ChargeState8:
         return _polarization(self.rho, (0, 2, 5, 7), 8)
 
 
-@dataclass
-class Cell:
+class Cell(NamedTuple):
+    """A cell's lattice position, its role, and a driver's held
+    polarization.  Cells and a grid's cell tuple are immutable, so the
+    checks a grid makes on them hold for as long as the grid lives."""
+
     position: tuple[int, ...]
     role: str = FREE
     polarization: float = 0.0
@@ -109,7 +118,7 @@ class CellGrid:
     """A fixed arrangement of cells with geometry-derived couplings."""
 
     def __init__(self, cells: Sequence[Cell]):
-        cells = list(cells)
+        cells = tuple(cells)
         if not cells:
             raise ValueError("a grid needs at least one cell")
         dim = len(cells[0].position)

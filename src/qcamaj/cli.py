@@ -263,7 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("synth", help="synthesize a minimal majority network")
+    p = sub.add_parser(
+        "synth", help="synthesize a network with the fewest majority gates, "
+        "then the least (gate_count, levels, inverter_count) with inverters "
+        "on inputs")
     p.add_argument("minterms")
     ordering(p)
     budget(p)

@@ -39,9 +39,9 @@ level built the first time a call reaches it, so the first call under
 a budget pays for the build and the next ones only scan.  It holds one
 key at a time: a call under another key drops the held levels first,
 so the cache keeps no more than one search of that budget allocates
-(about 1.1 MB for the default budget and 3.9 MB for SearchBudget(5, 5,
-False) by tracemalloc).  Cached levels are read-only; the lazy fills in
-_Rows give the same bytes whoever asks first.
+(about 1.2 MB for the default budget and 4.1 MB for SearchBudget(5, 5,
+False) by tracemalloc).  A level's row table is built whole, so a cached
+level is read-only once built; only its depths memo still fills.
 
 Among the networks with inverters on inputs that realize a target with
 the fewest majority gates, the result minimizes (gate_count, levels,
@@ -150,16 +150,16 @@ def _gate(combo: tuple, lanes: list) -> int:
 
 class _Rows:
     """One level's row table: every operand tuple evaluated for every
-    parent chain at once, one byte lane per parent.
+    parent chain at once, one byte lane per parent.  It is built whole,
+    and read-only once built but for the depths memo.
 
     The children of a parent differ only in their newest gate g.  A row
     whose tuple holds g is the Shannon pair (lo, hi): the tuple's table
     with g at 0 and at 1.  Majority is monotone, so lo is inside hi and a
     child with table gt makes (gt & hi) | lo.  A row without g is a fixed
-    table t, kept as lo = hi = t so that the same formula gives t.  At
-    level 1 there is no g: every gate is new, so every row scans and is
-    its own pair (hi is lo).  Otherwise the scan reads only the pairs,
-    so the fixed rows wait for growth.
+    table t, kept as lo = hi = t so that the same formula gives t.  The
+    scan reads the pairs; at level 1 no tuple holds g, as the chain has
+    no gate yet, so every gate is new and every row scans.
     """
 
     def __init__(self, searcher, combos, parents, level):
@@ -167,33 +167,23 @@ class _Rows:
         self.np = np = len(parents)
         self.ones = ones = int.from_bytes(b"\x01" * np, "little")
         # the candidates' tables, one lane per parent; g comes last
-        self.lanes = [t * ones for t in searcher.base_tables] + [
+        lanes = [t * ones for t in searcher.base_tables] + [
             int.from_bytes(bytes(p.tables[j] for p in parents), "little")
             for j in range(level - 2)]
+        g = len(lanes)
+        at_0, at_1 = lanes + [0], lanes + [searcher.mask * ones]
+        self.lo = [_gate(c, at_0) for c in combos]
+        self.hi = [_gate(c, at_1) if g in c else t
+                   for c, t in zip(combos, self.lo)]
+        self.scan = ([r for r, c in enumerate(combos) if g in c]
+                     or range(len(combos)))
+        self._bytes = [b"".join(v.to_bytes(np, "little") for v in half)
+                       for half in (self.lo, self.hi)]
         self._zeros = (0,) * searcher.nbase     # the base candidates' depths
-        if level == 1:
-            self.scan = range(len(combos))
-            self.lo = self.hi = [_gate(c, self.lanes) for c in combos]
-        else:
-            g = len(self.lanes)
-            self.scan = [r for r, combo in enumerate(combos) if g in combo]
-            self.lo, self.hi = [None] * len(combos), [None] * len(combos)
-            at_0, at_1 = self.lanes + [0], self.lanes + [searcher.mask * ones]
-            for r in self.scan:
-                self.lo[r] = _gate(combos[r], at_0)
-                self.hi[r] = _gate(combos[r], at_1)
-        self._bytes = None
         self._depths: dict[tuple, bytes] = {}
 
     def parent(self, i: int) -> tuple[bytes, bytes]:
         """Every row's lo and hi for parent i, a byte each."""
-        if self._bytes is None:
-            for r, combo in enumerate(self.combos):
-                if self.lo[r] is None:
-                    self.lo[r] = self.hi[r] = _gate(combo, self.lanes)
-            self._bytes = [b"".join(v.to_bytes(self.np, "little")
-                                    for v in half)
-                           for half in (self.lo, self.hi)]
         return self._bytes[0][i::self.np], self._bytes[1][i::self.np]
 
     def depths(self, depths: tuple) -> bytes:
@@ -476,7 +466,9 @@ class _Searcher:
 
 
 def synthesize(spec: TruthTable, budget: SearchBudget | None = None):
-    """Find a cheapest majority network for the table, or None.
+    """Find a network for the table with the fewest majority gates, then
+    the least (gate_count, levels, inverter_count) over networks whose
+    inverters sit on inputs, or None.
 
     Exhaustive search is limited to three variables; larger tables raise
     CapacityError.  A target out of reach inside the budget is a normal

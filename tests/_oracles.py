@@ -11,6 +11,9 @@ as the differential oracle for the regex tokenizer that replaced it.
 couplings_reference and relax_reference are the cell layer's former
 coupling build and sweep loop, kept as the exactness oracle for the
 forward-half probe and the hoisted sweep that replaced them.
+clocked_relax settles the free cells zone by zone outward from the
+drivers before the sweep, so its answer does not hang on the cell list
+order that relax uses as its clock.
 """
 
 import itertools
@@ -250,6 +253,53 @@ def relax_reference(grid, tol: float = 1e-6, max_iter: int = 1000
             return RelaxResult(tuple(p), sweep + 1, tuple(residuals),
                                grid.output_index)
     raise ConvergenceError(max_iter, residuals[-1])
+
+
+def clocked_relax(grid, order=None, tol: float = 1e-6,
+                  max_iter: int = 1000) -> RelaxResult:
+    """Relaxation under an explicit clock, then released.
+
+    A free cell's zone is its breadth-first distance from the drivers
+    over couplings_reference(grid.cells).  Zone by zone, the zone's cells
+    sweep to a fixed point while earlier zones hold their settled values
+    and later zones stay at 0.  Then every free cell sweeps from that
+    state, as relax does, until the largest change in a sweep drops
+    below tol.  `order` lists the free cells in the order each sweep
+    updates them, list order by default.  Returns the release's result."""
+    weights = couplings_reference(grid.cells)
+    p = [c.polarization if c.role == DRIVER else 0.0 for c in grid.cells]
+    zone = {i: 0 for i, c in enumerate(grid.cells) if c.role == DRIVER}
+    frontier = list(zone)
+    while frontier:
+        reached = []
+        for i in frontier:
+            for j, _ in weights[i]:
+                if j not in zone:
+                    zone[j] = zone[i] + 1
+                    reached.append(j)
+        frontier = reached
+    if order is None:
+        order = [i for i, c in enumerate(grid.cells) if c.role != DRIVER]
+
+    def settle(cells):
+        residuals = []
+        for _ in range(max_iter):
+            worst = 0.0
+            for i in cells:
+                drive = sum(w * p[j] for j, w in weights[i])
+                new = drive / math.sqrt(1.0 + drive * drive)
+                worst = max(worst, abs(new - p[i]))
+                p[i] = new
+            residuals.append(worst)
+            if worst < tol:
+                return residuals
+        raise ConvergenceError(max_iter, worst)
+
+    for z in range(1, max(zone.values()) + 1):
+        settle([i for i in order if zone.get(i) == z])
+    residuals = settle(order)
+    return RelaxResult(tuple(p), len(residuals), tuple(residuals),
+                       grid.output_index)
 
 
 def minterms_of_expr(text, names):

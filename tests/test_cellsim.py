@@ -8,6 +8,7 @@ of the sweep order.
 
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -134,6 +135,20 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="cell 2:"):
         CellGrid([Cell((0, 0, 0), OUTPUT), Cell((1, 0, 0)),
                   Cell((1, 0, math.nan))])
+
+
+def test_a_validated_grid_cannot_be_changed():
+    # a driver held at 5.0 or a "bogus" role would pass no grid check
+    grid = build_wire(5, 1.0)
+    want = relax(grid)
+    with pytest.raises(AttributeError):
+        grid.cells[0].polarization = 5.0
+    with pytest.raises(AttributeError):
+        grid.cells[2].role = "bogus"
+    with pytest.raises(TypeError):
+        grid.cells[2] = Cell((2, 0), "bogus")
+    assert relax(grid) == want
+    assert grid.cells[0] == Cell((0, 0), DRIVER, 1.0)
 
 
 GRIDS = st.sampled_from((2, 3)).flatmap(lambda dim: st.lists(
@@ -375,13 +390,20 @@ def assert_matches_reference(grid, **kwargs):
             == relax_outcome(_oracles.relax_reference, grid, **kwargs))
 
 
-def test_every_gate_row_matches_the_reference_exactly():
-    grids = [build_inverter(p) for p in (1.0, -1.0)]
+def gate_rows():
+    """The wire of 8 and the inverter driven both ways, and every maj3 and
+    maj5 row: 44 grids."""
+    grids = [build_wire(8, p) for p in (1.0, -1.0)]
+    grids += [build_inverter(p) for p in (1.0, -1.0)]
     grids += [build_maj3(*bits_to_p(bits))
               for bits in itertools.product((0, 1), repeat=3)]
     grids += [build_maj5(*bits_to_p(bits))
               for bits in itertools.product((0, 1), repeat=5)]
-    for grid in grids:
+    return grids
+
+
+def test_every_gate_row_matches_the_reference_exactly():
+    for grid in gate_rows():
         assert_matches_reference(grid)
         assert_matches_reference(grid, max_iter=2)
 
@@ -407,3 +429,30 @@ def test_random_grids_match_the_reference_exactly(positions, data,
              for pos, p in zip(positions, drives)]
     grid = CellGrid(cells + [Cell(positions[-1], OUTPUT)])
     assert_matches_reference(grid, max_iter=max_iter)
+
+
+# the clock ---------------------------------------------------------------
+
+
+def test_clocked_relaxation_answers_as_relax_on_every_gate_row():
+    for grid in gate_rows():
+        want, got = relax(grid), _oracles.clocked_relax(grid)
+        assert read_logic(got) == read_logic(want)
+        assert (f"{got.output_polarization:+.6f}"
+                == f"{want.output_polarization:+.6f}")
+
+
+def test_clocked_relaxation_reads_the_same_in_any_order():
+    # relax's list order is its clock: the inverter listed in reverse
+    # reads its input back, while the clocked pass still inverts it
+    rng = random.Random(0)
+    for grid in gate_rows():
+        want = read_logic(relax(grid))
+        free = [i for i, c in enumerate(grid.cells) if c.role != DRIVER]
+        for _ in range(50):
+            rng.shuffle(free)
+            assert read_logic(_oracles.clocked_relax(grid, free)) == want
+    inverter = build_inverter(1.0).cells
+    backwards = CellGrid(inverter[:1] + inverter[:0:-1])
+    assert f"{relax(backwards).output_polarization:+.4f}" == "+0.9256"
+    assert read_logic(_oracles.clocked_relax(backwards)) == 0

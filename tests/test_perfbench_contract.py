@@ -79,3 +79,18 @@ def test_tracer_records_every_target_and_restores_the_originals(spans,
         for key, value in attributes.items():
             if callable(value):
                 assert after[name][key] is value, (name, key)
+
+
+def test_tracer_reads_a_not_found_search(spans, capsys):
+    # synth-requests' not-found request: sum(1,6) needs three gates
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["synth", "sum(1,6)", "--max-gates", "2"]) == 1
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    [synth] = [s for s in tracer.spans if s.name == "synth.synthesize"]
+    assert synth.counts == {"table": 66, "default_budget": False,
+                            "found": False}

@@ -477,6 +477,30 @@ def test_level_one_rows_are_their_own_pairs():
     assert rows.depths(()) == bytes([1] * len(combos))
 
 
+@pytest.mark.parametrize("level, parents", [
+    (1, [()]), (4, [(0x96, 0xE8), (0x0F, 0x3C), (0xFE, 0x01)])])
+def test_a_level_is_complete_when_built(level, parents):
+    # cached levels are shared by every later call, so reading one must
+    # not fill it
+    searcher = _Searcher(3, SearchBudget(max_gates=4))
+    combos = searcher._combos(searcher.nbase + level - 1)
+    rows = _Rows(searcher, combos, [_Parent(p) for p in parents], level)
+    assert all(type(v) is int for v in rows.lo + rows.hi)
+    built = (list(rows.lo), list(rows.hi), list(rows._bytes))
+    for i in range(len(parents)):
+        rows.parent(i)
+    assert (rows.lo, rows.hi, rows._bytes) == built
+
+
+def test_cached_levels_hold_no_placeholder():
+    synth._LEVELS.clear()
+    synthesize(TruthTable.from_int(3, BY_CLASS[SearchBudget()][3]))
+    [levels] = synth._LEVELS.values()
+    assert len(levels) == 3
+    for _, rows in levels:
+        assert None not in rows.lo + rows.hi + rows._bytes
+
+
 @given(st.tuples(*[st.integers(1, 3)] * 3))
 def test_row_depths_at_level_four(depths):
     # three chain gates (candidates 8, 9, 10) under the base candidates,
