@@ -13,6 +13,7 @@ per record, for scripting.
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import shlex
 import sys
@@ -73,11 +74,14 @@ def render_records(report: RunReport) -> str:
              f"version={shlex.quote(__version__)} "
              f"elapsed_ms={report.elapsed_ms:.1f}"]
     lines += [f"field {k}={shlex.quote(v)}" for k, v in report.fields]
-    for r in report.rows:
-        items = r.items()
-        if not all(r.values()) or _unsafe("".join(r.values())):
-            items = [(k, shlex.quote(v)) for k, v in items]
-        lines.append("row " + " ".join(map("=".join, items)))
+    rows = report.rows
+    values = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    if not all(values) or _unsafe("".join(values)):
+        # some value needs quoting: quote the rows that hold one
+        rows = [{k: shlex.quote(v) for k, v in r.items()}
+                if not all(r.values()) or _unsafe("".join(r.values()))
+                else r for r in rows]
+    lines += ["row " + " ".join(map("=".join, r.items())) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -219,10 +223,13 @@ def cmd_sim(args) -> tuple[RunReport, int]:
     report.add("output_polarization", f"{result.output_polarization:+.6f}")
     report.add("sweeps", result.sweeps)
     report.add("final_residual", f"{result.residuals[-1]:.3e}")
-    for i, (cell, p) in enumerate(zip(grid.cells, result.polarizations)):
-        report.add_row(cell=i,
-                       pos=",".join(map(str, cell.position)),
-                       role=cell.role, polarization=f"{p:+.6f}")
+    # a grid's positions are tuples of int, all of the grid's dimension
+    pos = ",".join(["%d"] * len(grid.cells[0].position))
+    report.rows = [
+        {"cell": i, "pos": pos % cell.position, "role": cell.role,
+         "polarization": p}
+        for i, cell, p in zip(map(str, itertools.count()), grid.cells,
+                              map("%+.6f".__mod__, result.polarizations))]
     return report, 0
 
 

@@ -33,6 +33,8 @@ from qcamaj.cellsim import (
     FREE,
     MAX_WIRE_CELLS,
     OUTPUT,
+    _bulk_index,
+    _checked_index,
     response,
 )
 from qcamaj.errors import (CapacityError, ChargeError, ConvergenceError,
@@ -135,6 +137,61 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="cell 2:"):
         CellGrid([Cell((0, 0, 0), OUTPUT), Cell((1, 0, 0)),
                   Cell((1, 0, math.nan))])
+    # a position is a tuple of int: no list, no bool coordinate
+    with pytest.raises(ValueError, match=r"^cell 0: position \[0, 0\] is not"):
+        CellGrid([Cell([0, 0], OUTPUT)])
+    with pytest.raises(ValueError, match=r"^cell 0: position 5 is not"):
+        CellGrid([Cell(5, OUTPUT)])
+    with pytest.raises(ValueError, match=r"^cell 0: position \(True, 0\)"):
+        CellGrid([Cell((True, 0), OUTPUT)])
+    with pytest.raises(ValueError, match=r"^cell 1: position \(1, 0, False\)"):
+        CellGrid([Cell((0, 0, 0), OUTPUT), Cell((1, 0, False))])
+    # with faults in two cells, the error names the first in list order
+    with pytest.raises(ValueError, match=r"^duplicate cell position"):
+        CellGrid([Cell((0, 0), OUTPUT), Cell((0, 0)),
+                  Cell((1, 0), "emitter")])
+    with pytest.raises(ValueError, match=r"^cell 0 has unknown role"):
+        CellGrid([Cell((0, 0), "emitter"), Cell((1, 0, 0), OUTPUT)])
+    with pytest.raises(ValueError, match=r"^cell 1 is 3D in a 2D grid$"):
+        CellGrid([Cell((0, 0), OUTPUT), Cell((1, 0, 0)), Cell((0, 0))])
+    with pytest.raises(ValueError, match=r"^cell 0: driver"):
+        CellGrid([Cell((0, 0), DRIVER, 2.0), Cell((0.5, 0), OUTPUT)])
+    with pytest.raises(ValueError, match=r"^cell 0: driver"):
+        CellGrid([Cell((0, 0), DRIVER, 2.0), Cell((1, 0))])     # no output
+
+# what one fault makes of a cell; a grid that takes two of them, in any
+# two cells, must fail the bulk checks exactly when the cell loop fails
+FAULTS = (
+    lambda c: c,
+    lambda c: c._replace(position=list(c.position)),
+    lambda c: c._replace(position=(*c.position, 0)),
+    lambda c: c._replace(position=(True, *c.position[1:])),
+    lambda c: c._replace(position=(0.5, *c.position[1:])),
+    lambda c: c._replace(position=(1, *c.position[1:])),    # may duplicate
+    lambda c: c._replace(role="emitter"),
+    lambda c: c._replace(role=OUTPUT),
+    lambda c: c._replace(role=FREE),
+    lambda c: c._replace(role=DRIVER, polarization=math.nan),
+    lambda c: c._replace(role=DRIVER, polarization=-1.5),
+)
+
+
+def test_bulk_checks_pass_the_grids_the_cell_loop_passes():
+    for base in (build_maj3(1.0, -1.0, 1.0), build_maj5(1, 1, -1, 1, -1)):
+        faults = list(itertools.product(range(len(base.cells)), FAULTS))
+        for (i, f), (j, g) in itertools.product(faults, repeat=2):
+            cells = list(base.cells)
+            cells[i] = f(cells[i])
+            cells[j] = g(cells[j])
+            cells = tuple(cells)
+            dim = len(cells[0].position)
+            bulk = _bulk_index(cells, dim, [c.role for c in cells])
+            try:
+                index = _checked_index(cells, dim)
+            except ValueError:
+                assert bulk is None, cells
+            else:
+                assert list(bulk.items()) == list(index.items()), cells
 
 
 def test_a_validated_grid_cannot_be_changed():

@@ -157,12 +157,18 @@ def test_records_rows_round_trip_through_shlex(capsys):
 # characters shlex.quote leaves alone, characters it quotes, and letters
 # that are \w in Unicode but not in ASCII, so unsafe to shlex
 QUOTED_CHARS = "aZ09_@%+=:,./-" + " '(\"$\\" + "é٣"
+# a report the size of a wire's, in which no value needs quoting
+SAFE_ROWS = [{"cell": str(i), "pos": f"{i},0", "p": "+0.950000"}
+             for i in range(200)]
 
 
 @given(st.lists(st.dictionaries(st.sampled_from(("cell", "pos", "role", "p")),
                                 st.text(QUOTED_CHARS, max_size=6),
                                 min_size=1), max_size=4))
 @example([{"v": c} for c in QUOTED_CHARS] + [{"v": ""}, {"a": "x", "b": ""}])
+@example(SAFE_ROWS)
+@example(SAFE_ROWS[:100] + [{"cell": "x", "pos": "it's"}] + SAFE_ROWS[100:])
+@example(SAFE_ROWS[:100] + [{"cell": "x", "pos": ""}] + SAFE_ROWS[100:])
 def test_records_rows_quote_each_value_as_shlex_does(rows):
     lines = render_records(RunReport("sim", rows=rows)).splitlines()
     assert lines[1:] == ["row " + " ".join(f"{k}={shlex.quote(v)}"

@@ -7,12 +7,14 @@
 `git clone` or `git archive`); the other side is the checkout this
 script sits in.  Pair k runs `perfbench/run.py --seed k` on every
 workload that BENCHMARK.json lists, for its `run_seconds`, once per
-side, one run at a time; odd seeds run the parent first, even seeds the change.  The output
-JSON holds, per workload, both sides' median number of requests
-attempted (a run that completes more requests keeps more latencies, so
-its `peak_rss_mb` reads higher) and, per end-to-end metric, both sides'
-medians and quartiles, the median relative loss beside the metric's
-bound, the number of pairs the change won, whether every change run
+side, one run at a time; odd seeds run the parent first, even seeds
+the change.  The output JSON holds, per workload, both sides' median
+number of requests attempted (a run that completes more requests keeps
+more latencies, so its `peak_rss_mb` reads higher); per request tag,
+both sides' median of the runs' p50, measured and scaled by each run's
+calibration, and the pairs the change won; and, per end-to-end metric,
+both sides' medians and quartiles, the median relative loss beside the
+metric's bound, the number of pairs the change won, whether every change run
 beat every parent run, and how many parent interquartile ranges the
 medians lie apart; then every run's metrics and the lines of its
 report.
@@ -30,6 +32,7 @@ import argparse
 import compileall
 import json
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -66,6 +69,39 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                         for k, m in result["metrics"].items()}}
 
 
+# a run's report line per request tag, e.g. "long-wire  n=175  p50=  10.453
+# min= ... ms", in measured times; and the calibration line whose scale the
+# run applied to some of its metrics, e.g. "... scale 0.8992 for setup_s, ..."
+TAG_LINE = re.compile(r"(\S+)\s+n=\d+\s+p50=\s*([-+.\deE]+)\s.*ms$")
+SCALE = re.compile(r"calibration: .* scale ([-+.\deE]+) for ")
+
+
+def tag_medians(runs: list[dict]) -> dict:
+    """Per request tag: both sides' median p50 and the pairs the change
+    won, so a gain can be placed on the requests that carry it.  Each is
+    given as measured and scaled by the run's calibration (host speed
+    drifts between runs; the kernels never call qcamaj)."""
+    p50 = {}    # tag -> seed -> side -> (measured, scaled) ms
+    for r in runs:
+        lines = r["stdout_lines"]
+        scale = next((float(m[1]) for m in map(SCALE.match, lines) if m), 1.0)
+        for m in filter(None, map(TAG_LINE.match, lines)):
+            ms = float(m[2])
+            p50.setdefault(m[1], {}).setdefault(r["seed"], {})[
+                r["side"]] = (ms, ms * scale)
+    tags = {}
+    for tag, pairs in sorted(p50.items()):
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        tags[tag] = {kind: {
+            "parent_median": statistics.median(p["parent"][k] for p in pairs),
+            "change_median": statistics.median(p["change"][k] for p in pairs),
+            "change_better_in_pairs":
+                f"{sum(p['change'][k] < p['parent'][k] for p in pairs)} "
+                f"of {len(pairs)}",
+        } for k, kind in enumerate(("measured", "scaled"))}
+    return tags
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -76,7 +112,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         rows = summary[workload] = {"attempted_median": {
             side: statistics.median(r["attempted"] for r in mine
                                     if r["side"] == side)
-            for side in ("parent", "change")}}
+            for side in ("parent", "change")},
+            "tags_p50_ms": tag_medians(mine)}
         for metric in metrics:
             name = metric["name"]
             sign = 1 if metric["better"] == "lower" else -1
