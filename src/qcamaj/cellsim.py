@@ -4,8 +4,8 @@ Cells sit on an integer lattice, two-dimensional for the planar gates and
 three-dimensional for the cube-cell five-input gate; a grid rejects a
 position that is not a tuple of int, bool refused.  A cell's state is a
 polarization in [-1, +1]; +1 encodes logic 1.  Drivers hold a fixed
-polarization, free cells settle, and exactly one cell is the designated
-output.
+polarization, a numbers.Real, free cells settle, and exactly one cell is
+the designated output.
 
 Each relaxation sweep updates the non-driver cells in list order through
 the saturating response
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -115,30 +116,6 @@ class Cell(NamedTuple):
     polarization: float = 0.0
 
 
-def _bulk_index(cells: tuple[Cell, ...], dim: int, roles: list
-                ) -> dict[tuple[int, ...], int] | None:
-    """Map each position to its cell's index, or return None if any cell
-    fails a check of _checked_index.  Each check runs over the whole grid
-    in C, so a valid grid costs no Python loop per cell."""
-    positions = list(map(operator.attrgetter("position"), cells))
-    if (set(map(type, positions)) != {tuple}
-            or set(map(len, positions)) != {dim}
-            or set(map(type, itertools.chain.from_iterable(positions)))
-            != {int}):
-        return None
-    index = dict(zip(positions, itertools.count()))
-    if (len(index) != len(cells)
-            or not all(map(_ROLES.__contains__, roles))
-            or roles.count(OUTPUT) != 1):
-        return None
-    drivers = itertools.compress(
-        map(operator.attrgetter("polarization"), cells),
-        map(operator.eq, roles, itertools.repeat(DRIVER)))
-    if not all(-1.0 <= p <= 1.0 for p in drivers):
-        return None
-    return index
-
-
 def _checked_index(cells: tuple[Cell, ...], dim: int
                    ) -> dict[tuple[int, ...], int]:
     """Map each position to its cell's index, checking cell by cell in
@@ -146,28 +123,30 @@ def _checked_index(cells: tuple[Cell, ...], dim: int
     index = {}
     outputs = 0
     for i, c in enumerate(cells):
-        if type(c.position) is not tuple:
-            raise ValueError(f"cell {i}: position {c.position!r} is not "
+        # by attribute, so any object with these attributes reads as a cell
+        position = c.position
+        role = c.role
+        if type(position) is not tuple:
+            raise ValueError(f"cell {i}: position {position!r} is not "
                              f"a tuple")
-        if len(c.position) != dim:
-            raise ValueError(
-                f"cell {i} is {len(c.position)}D in a {dim}D grid"
-            )
-        if not all(type(x) is int for x in c.position):
-            raise ValueError(f"cell {i}: position {c.position} is off "
-                             f"the integer lattice")
-        if c.position in index:
-            raise ValueError(f"duplicate cell position {c.position}")
-        index[c.position] = i
-        if c.role not in _ROLES:
-            raise ValueError(f"cell {i} has unknown role {c.role!r}")
-        if c.role == OUTPUT:
+        if len(position) != dim:
+            raise ValueError(f"cell {i} is {len(position)}D in a {dim}D grid")
+        for x in position:
+            if type(x) is not int:
+                raise ValueError(f"cell {i}: position {position} is off "
+                                 f"the integer lattice")
+        if position in index:
+            raise ValueError(f"duplicate cell position {position}")
+        index[position] = i
+        if role not in _ROLES:
+            raise ValueError(f"cell {i} has unknown role {role!r}")
+        if role == OUTPUT:
             outputs += 1
-        if c.role == DRIVER and not -1.0 <= c.polarization <= 1.0:
-            raise ValueError(
-                f"cell {i}: driver polarization must lie in [-1, 1], "
-                f"got {c.polarization}"
-            )
+        if role == DRIVER:
+            p = c.polarization
+            if not (isinstance(p, numbers.Real) and -1.0 <= p <= 1.0):
+                raise ValueError(f"cell {i}: driver polarization must lie "
+                                 f"in [-1, 1], got {p}")
     if outputs != 1:
         raise ValueError(f"need exactly one output cell, got {outputs}")
     return index
@@ -187,9 +166,7 @@ class CellGrid:
         if dim not in (2, 3):
             raise ValueError(f"positions must be 2D or 3D, got {dim}D")
         roles = list(map(operator.attrgetter("role"), cells))
-        index = _bulk_index(cells, dim, roles)
-        if index is None:
-            index = _checked_index(cells, dim)
+        index = _checked_index(cells, dim)
         self.cells = cells
         self.output_index = roles.index(OUTPUT)
         axes = list(zip(*index))    # per coordinate, in cell order

@@ -77,10 +77,7 @@ def render_records(report: RunReport) -> str:
     rows = report.rows
     values = list(itertools.chain.from_iterable(map(dict.values, rows)))
     if not all(values) or _unsafe("".join(values)):
-        # some value needs quoting: quote the rows that hold one
-        rows = [{k: shlex.quote(v) for k, v in r.items()}
-                if not all(r.values()) or _unsafe("".join(r.values()))
-                else r for r in rows]
+        rows = [{k: shlex.quote(v) for k, v in r.items()} for r in rows]
     lines += ["row " + " ".join(map("=".join, r.items())) for r in rows]
     return "\n".join(lines) + "\n"
 

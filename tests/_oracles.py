@@ -11,6 +11,8 @@ as the differential oracle for the regex tokenizer that replaced it.
 couplings_reference and relax_reference are the cell layer's former
 coupling build and sweep loop, kept as the exactness oracle for the
 forward-half probe and the hoisted sweep that replaced them.
+checked_index_reference is the grid check as it stood beside the bulk
+checks it outlived, kept as the oracle for its index and error messages.
 clocked_relax settles the free cells zone by zone outward from the
 drivers before the sweep, so its answer does not hang on the cell list
 order that relax uses as its clock.
@@ -20,8 +22,8 @@ import itertools
 import math
 import operator
 
-from qcamaj.cellsim import (DIAGONAL_WEIGHT, DRIVER, FACE_WEIGHT,
-                            RelaxResult)
+from qcamaj.cellsim import (_ROLES, DIAGONAL_WEIGHT, DRIVER, FACE_WEIGHT,
+                            OUTPUT, RelaxResult)
 from qcamaj.errors import ConvergenceError, ParseError, UnknownVariableError
 from qcamaj.network import NetworkBuilder, check_names
 
@@ -253,6 +255,40 @@ def relax_reference(grid, tol: float = 1e-6, max_iter: int = 1000
             return RelaxResult(tuple(p), sweep + 1, tuple(residuals),
                                grid.output_index)
     raise ConvergenceError(max_iter, residuals[-1])
+
+
+def checked_index_reference(cells, dim: int
+                            ) -> dict[tuple[int, ...], int]:
+    """Map each position to its cell's index, checking cell by cell in
+    list order; raise ValueError naming the first faulty cell."""
+    index = {}
+    outputs = 0
+    for i, c in enumerate(cells):
+        if type(c.position) is not tuple:
+            raise ValueError(f"cell {i}: position {c.position!r} is not "
+                             f"a tuple")
+        if len(c.position) != dim:
+            raise ValueError(
+                f"cell {i} is {len(c.position)}D in a {dim}D grid"
+            )
+        if not all(type(x) is int for x in c.position):
+            raise ValueError(f"cell {i}: position {c.position} is off "
+                             f"the integer lattice")
+        if c.position in index:
+            raise ValueError(f"duplicate cell position {c.position}")
+        index[c.position] = i
+        if c.role not in _ROLES:
+            raise ValueError(f"cell {i} has unknown role {c.role!r}")
+        if c.role == OUTPUT:
+            outputs += 1
+        if c.role == DRIVER and not -1.0 <= c.polarization <= 1.0:
+            raise ValueError(
+                f"cell {i}: driver polarization must lie in [-1, 1], "
+                f"got {c.polarization}"
+            )
+    if outputs != 1:
+        raise ValueError(f"need exactly one output cell, got {outputs}")
+    return index
 
 
 def clocked_relax(grid, order=None, tol: float = 1e-6,

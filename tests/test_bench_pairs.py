@@ -1,6 +1,7 @@
-"""tools/bench_pairs.summarize on synthetic runs: no benchmark is run."""
+"""tools/bench_pairs on synthetic runs: no benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,27 @@ def test_summarize_reports_each_tags_median_p50_and_pairs_won():
     assert heavy["change_median"] == 9.5
     assert heavy["change_better_in_pairs"] == "4 of 4"
     assert summary["attempted_median"] == {"parent": 100, "change": 100}
+
+
+def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch):
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((workload, seed))
+        if len(calls) == 3:
+            raise bench_pairs.RunFailed(f"{workload} seed {seed} printed no "
+                                        f"result (exit 1):\nboom")
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "stdout_lines": [], "metrics": {"heavy_p50_ms": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "refresh_bytecode", lambda tree: None)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", str(tmp_path), "--out", str(out)])
+    assert exit_.value.code not in (None, 0)
+    report = json.loads(out.read_text())
+    assert list(report) == ["what", "command", "host", "incomplete", "runs"]
+    assert len(report["runs"]) == 2
+    assert report["incomplete"].startswith("stopped after 2 runs: ")
+    assert report["incomplete"].endswith("(exit 1):\nboom")

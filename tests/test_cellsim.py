@@ -10,6 +10,8 @@ import itertools
 import math
 import random
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,7 +35,6 @@ from qcamaj.cellsim import (
     FREE,
     MAX_WIRE_CELLS,
     OUTPUT,
-    _bulk_index,
     _checked_index,
     response,
 )
@@ -158,9 +159,16 @@ def test_grid_validation():
         CellGrid([Cell((0, 0), DRIVER, 2.0), Cell((0.5, 0), OUTPUT)])
     with pytest.raises(ValueError, match=r"^cell 0: driver"):
         CellGrid([Cell((0, 0), DRIVER, 2.0), Cell((1, 0))])     # no output
+    # a driver polarization is a real number
+    for p in (None, "1", 1j, Decimal("1")):
+        with pytest.raises(ValueError, match=r"^cell 0: driver polarization"):
+            CellGrid([Cell((0, 0), DRIVER, p), Cell((1, 0), OUTPUT)])
+    for p in (Fraction(1, 2), True):
+        CellGrid([Cell((0, 0), DRIVER, p), Cell((1, 0), OUTPUT)])
 
 # what one fault makes of a cell; a grid that takes two of them, in any
-# two cells, must fail the bulk checks exactly when the cell loop fails
+# two cells, must get from the grid check the former check's index or its
+# error message
 FAULTS = (
     lambda c: c,
     lambda c: c._replace(position=list(c.position)),
@@ -176,22 +184,33 @@ FAULTS = (
 )
 
 
-def test_bulk_checks_pass_the_grids_the_cell_loop_passes():
+def _assert_checks_as_reference(cells):
+    cells = tuple(cells)
+    dim = len(cells[0].position)
+    try:
+        want = _oracles.checked_index_reference(cells, dim)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            _checked_index(cells, dim)
+        assert str(got.value) == str(e), cells
+    else:
+        assert list(_checked_index(cells, dim).items()) == list(want.items())
+
+
+def test_grid_checks_match_the_former_cell_loop():
     for base in (build_maj3(1.0, -1.0, 1.0), build_maj5(1, 1, -1, 1, -1)):
         faults = list(itertools.product(range(len(base.cells)), FAULTS))
         for (i, f), (j, g) in itertools.product(faults, repeat=2):
             cells = list(base.cells)
             cells[i] = f(cells[i])
             cells[j] = g(cells[j])
-            cells = tuple(cells)
-            dim = len(cells[0].position)
-            bulk = _bulk_index(cells, dim, [c.role for c in cells])
-            try:
-                index = _checked_index(cells, dim)
-            except ValueError:
-                assert bulk is None, cells
-            else:
-                assert list(bulk.items()) == list(index.items()), cells
+            _assert_checks_as_reference(cells)
+    # at the benchmark's long-wire size, a fault midway and at the end
+    wire = build_wire(1000, 1.0).cells
+    for i, f in itertools.product((500, len(wire) - 1), FAULTS):
+        cells = list(wire)
+        cells[i] = f(cells[i])
+        _assert_checks_as_reference(cells)
 
 
 def test_a_validated_grid_cannot_be_changed():

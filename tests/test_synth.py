@@ -1,5 +1,5 @@
-"""Exact synthesis: optimality against an independent search, determinism,
-budget handling, and the full three-variable atlas."""
+"""Exact synthesis: the minimum majority count against an independent
+search, determinism, budget handling, and the full three-variable atlas."""
 
 import hashlib
 import itertools

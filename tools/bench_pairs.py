@@ -25,6 +25,10 @@ PYTHONDONTWRITEBYTECODE set, a tree whose cache is older than its
 source compiles the edited modules on every timed import, which skews
 `setup_s` against that side alone.
 
+A run that prints no result stops the pairs: the output JSON then holds
+the runs so far and an `incomplete` message with that run's stderr in
+place of the summary, and the script exits non-zero.
+
 Stdlib only.  Ten pairs of two 55 s workloads take about 40 minutes.
 """
 
@@ -47,6 +51,10 @@ def refresh_bytecode(tree: Path):
         raise SystemExit(f"cannot compile {tree / 'src'}")
 
 
+class RunFailed(Exception):
+    """A benchmark run that printed no result."""
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -54,8 +62,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
-        raise SystemExit(f"{tree}: {workload} seed {seed} printed no "
-                         f"result (exit {proc.returncode}):\n{proc.stderr}")
+        raise RunFailed(f"{tree}: {workload} seed {seed} printed no "
+                        f"result (exit {proc.returncode}):\n{proc.stderr}")
     result = json.loads(lines[-1])
     # the report between the machine facts and the fail ratio
     first = next(i for i, line in enumerate(lines)
@@ -163,16 +171,20 @@ def main(argv=None):
         refresh_bytecode(tree)
 
     runs = []
-    for seed in range(1, args.pairs + 1):
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        for workload in workloads:
-            for side in order:
-                run = run_once(trees[side], workload, seed, seconds)
-                runs.append({"workload": workload, "seed": seed,
-                             "side": side, "ran_first": side == order[0],
-                             **run})
-                print(f"seed {seed} {workload} {side}: "
-                      + json.dumps(run["metrics"]), flush=True)
+    failure = None
+    try:
+        for seed in range(1, args.pairs + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for workload in workloads:
+                for side in order:
+                    run = run_once(trees[side], workload, seed, seconds)
+                    runs.append({"workload": workload, "seed": seed,
+                                 "side": side, "ran_first": side == order[0],
+                                 **run})
+                    print(f"seed {seed} {workload} {side}: "
+                          + json.dumps(run["metrics"]), flush=True)
+    except RunFailed as e:
+        failure = f"stopped after {len(runs)} runs: {e}"
 
     report = {
         "what": f"perfbench/run.py end-to-end metrics of the parent "
@@ -185,10 +197,15 @@ def main(argv=None):
                 f"{platform.platform()}; each side run from its own "
                 f"checkout, one run at a time, bytecode caches refreshed "
                 f"first",
-        "summary": summarize(runs, bench["end_to_end"]),
-        "runs": runs,
     }
+    if failure:
+        report["incomplete"] = failure
+    else:
+        report["summary"] = summarize(runs, bench["end_to_end"])
+    report["runs"] = runs
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    if failure:
+        raise SystemExit(failure)
     return 0 if all(r["correct"] for r in runs) else 1
 
 
