@@ -23,7 +23,9 @@ bit operations per child.  Both passes of a level read this table:
 - The scan looks for gates whose table is an unsolved target.  Only
   tuples holding g can make one (see run).  A pair makes target T for
   some child only if lo <= T <= hi, which one test checks for every
-  parent, and the children that do make T are looked up by table.
+  parent.  If g does not matter there, every child makes T; otherwise
+  the children that do are looked up by table, probing only the tables
+  that one int per parent marks as some child's.
 - The growth step extends every state by each gate of a function new to
   its chain and shallower than max_levels, in tuple order, and keeps the
   first chain per (table, depth) profile.
@@ -39,20 +41,23 @@ level built the first time a call reaches it, so the first call under
 a budget pays for the build and the next ones only scan.  It holds one
 key at a time: a call under another key drops the held levels first,
 so the cache keeps no more than one search of that budget allocates
-(about 1.2 MB for the default budget and 4.1 MB for SearchBudget(5, 5,
-False) by tracemalloc).  A level's row table is built whole, so a cached
-level is read-only once built; only its depths memo still fills.
+(about 1.2 MB for the default budget and 4.2 MB for SearchBudget(5, 5,
+False) by tracemalloc, operand tuples included).  A level's row table
+and its children's table bitmaps are built whole, so a cached level is
+read-only once built; only its depths memo still fills.
 
 Among the networks with inverters on inputs that realize a target with
 the fewest majority gates, the result minimizes (gate_count, levels,
 inverter_count) and finally the serialized text.  The scan keeps every
-candidate that ties the best key, writes the to_text form of each
-straight from its chain, and builds a Network only for the winner.
-Repeated runs therefore return byte-identical answers.  The tests check
-every three-variable function's minimum majority count against the
-independent search in tests/_oracles.py under two budgets, and freeze
-the atlas text by hash.  A target that cannot be reached inside the
-budget yields None rather than an exception.
+candidate that ties the best key and settles the tie line by line: it
+advances the tied chains' to_text lines together, made straight from
+each chain, keeps those whose line is least, and writes the whole text,
+and builds a Network, only for the winner.  Repeated runs therefore
+return byte-identical answers.  The tests check every three-variable
+function's minimum majority count against the independent search in
+tests/_oracles.py under two budgets, and freeze the atlas text by hash.
+A target that cannot be reached inside the budget yields None rather
+than an exception.
 """
 
 from __future__ import annotations
@@ -159,11 +164,15 @@ class _Rows:
     child with table gt makes (gt & hi) | lo.  A row without g is a fixed
     table t, kept as lo = hi = t so that the same formula gives t.  The
     scan reads the pairs; at level 1 no tuple holds g, as the chain has
-    no gate yet, so every gate is new and every row scans.
+    no gate yet, so every gate is new and every row scans.  kid_tables
+    holds, per parent, one int whose bit t is set when some child's g has
+    table t, so that the scan probes a parent's codes only for tables it
+    has.
     """
 
-    def __init__(self, searcher, combos, parents, level):
+    def __init__(self, searcher, combos, groups, level):
         self.combos = combos
+        parents = [p for p, _ in groups]
         self.np = np = len(parents)
         self.ones = ones = int.from_bytes(b"\x01" * np, "little")
         # the candidates' tables, one lane per parent; g comes last
@@ -179,6 +188,9 @@ class _Rows:
                      or range(len(combos)))
         self._bytes = [b"".join(v.to_bytes(np, "little") for v in half)
                        for half in (self.lo, self.hi)]
+        # per parent, an int with bit t set when some child has table t
+        self.kid_tables = [sum(1 << t for t in {c & _BYTE for c in codes})
+                           for _, codes in groups]
         self._zeros = (0,) * searcher.nbase     # the base candidates' depths
         self._depths: dict[tuple, bytes] = {}
 
@@ -244,33 +256,66 @@ class _Searcher:
 
     # ---- solution bookkeeping ------------------------------------------
 
+    def _lines(self, gates, root: int):
+        """The node lines, then the output line, of _text(gates, root),
+        each made when it is asked for.  Nodes are numbered in first-use
+        order."""
+        n, nbase = self.n, self.nbase
+        # node ids, keyed by base candidate index or by gate node text
+        ids: dict = {}
+        gate_ids: list[int] = []
+
+        def operands(combo, args):
+            """Append the node id of each operand in combo to args,
+            yielding the line of each node first used on the way."""
+            for ci in combo:
+                if ci >= nbase:
+                    args.append(gate_ids[ci - nbase])
+                    continue
+                # a negated literal's input is numbered before it
+                for x in (ci - n, ci) if ci >= 2 + n else (ci,):
+                    if x not in ids:
+                        ids[x] = i = len(ids)
+                        yield (f"{i} const {x}" if x < 2 else
+                               f"{i} input {x - 2}" if x < 2 + n else
+                               f"{i} not {ids[x - n]}")
+                args.append(ids[ci])
+
+        for combo in gates:
+            args: list[int] = []
+            yield from operands(combo, args)
+            node = f"maj{len(combo)} " + " ".join(map(str, args))
+            if node not in ids:
+                ids[node] = len(ids)
+                yield f"{ids[node]} {node}"
+            gate_ids.append(ids[node])
+        args = []
+        yield from operands((root,), args)
+        yield f"output {args[0]}"
+
     def _text(self, gates, root: int) -> str:
         """to_text of the network NetworkBuilder makes from the chain's
         operand tuples with output `root`, written without building it;
-        test_chain_text_matches_the_builder pins the two together.  Nodes
-        are numbered in first-use order."""
-        n, nbase = self.n, self.nbase
-        ids: dict[str, int] = {}
-        gate_ids: list[int] = []
+        test_chain_text_matches_the_builder pins the two together."""
+        return "\n".join([f"network {self.n}", *self._lines(gates, root), ""])
 
-        def resolve(ci: int) -> int:
-            if ci >= nbase:
-                return gate_ids[ci - nbase]
-            if ci < 2:
-                node = f"const {ci}"
-            elif ci >= 2 + n:
-                node = f"not {resolve(ci - n)}"
-            else:
-                node = f"input {ci - 2}"
-            return ids.setdefault(node, len(ids))
-
-        for combo in gates:
-            node = f"maj{len(combo)} " + " ".join(
-                [str(resolve(ci)) for ci in combo])
-            gate_ids.append(ids.setdefault(node, len(ids)))
-        output = resolve(root)
-        lines = [f"{i} {node}" for node, i in ids.items()]
-        return "\n".join([f"network {n}", *lines, f"output {output}", ""])
+    def _least_text(self, chains, root: int) -> str:
+        """min(self._text(c, root) for c in chains), settled line by line:
+        each round advances every chain still tied by one line and keeps
+        those whose line is least.  Every line sorts above the newline
+        that ends the line before it, so line lists order as their texts
+        do.
+        Once one chain is left, or the least line is the output line (the
+        last, so the survivors' texts are equal), only its text is
+        written."""
+        alive = [(self._lines(c, root), c) for c in chains]
+        while len(alive) > 1:
+            heads = [next(lines) for lines, _ in alive]
+            least = min(heads)
+            alive = [a for a, h in zip(alive, heads) if h == least]
+            if least.startswith("output"):
+                break
+        return self._text(alive[0][1], root)
 
     # ---- the search ------------------------------------------------------
 
@@ -287,9 +332,12 @@ class _Searcher:
     def _scan(self, level, groups, rows, unsolved):
         """The text of the best network per target that a gate of this
         level solves.  A row's pair can make target T only if lo <= T <=
-        hi, which one test checks for every parent; the children whose
-        table makes T are then looked up by table."""
-        mask, ones, nbase = self.mask, rows.ones, self.nbase
+        hi, which one test checks for every parent.  When g does not
+        matter (lo == hi == T) every child of the parent makes T;
+        otherwise the children whose table agrees with T where g matters
+        are looked up by table, probing only tables some child has."""
+        mask, ones, np = self.mask, rows.ones, rows.np
+        lo_bytes, hi_bytes = rows._bytes
         kid_depths = [d << 8 for d in range(1, level)] if level > 1 else [0]
         kids: dict[tuple, _Chain] = {}
         found: dict[int, tuple] = {}    # target -> (key, tied chains)
@@ -302,30 +350,34 @@ class _Searcher:
                 miss |= miss >> 2
                 miss |= miss >> 1
                 fits = ones & ~miss
-                while fits:
-                    low = fits & -fits
-                    fits ^= low
-                    i = low.bit_length() >> 3
-                    lo = rows.lo[r] >> (i << 3) & _BYTE
-                    m = rows.hi[r] >> (i << 3) & _BYTE ^ lo   # g matters
+                if not fits:
+                    continue
+                at = r * np
+                for i in itertools.compress(range(np),
+                                            fits.to_bytes(np, "little")):
+                    m = lo_bytes[at + i] ^ hi_bytes[at + i]     # g matters
                     p, codes = groups[i]
-                    # every child table that agrees with T on m
-                    want, free = target & m, mask ^ m
-                    x = free
-                    while True:
-                        for d in kid_depths:
-                            c = want | x | d
-                            if c in codes:
-                                kid = kids.get((i, c))
-                                if kid is None:
-                                    kid = kids[i, c] = self._child(p, c)
-                                self._offer(level, kid, rows, r, target,
-                                            found)
-                        if not x:
-                            break
-                        x = (x - 1) & free
-        root = nbase + level - 1
-        return {t: min(self._text(chain, root) for chain in chains)
+                    if m:
+                        # the children whose table agrees with T on m
+                        want, free = target & m, mask ^ m
+                        tables, hits = rows.kid_tables[i], []
+                        x = free
+                        while True:
+                            t = want | x
+                            if tables >> t & 1:
+                                hits += [t | d for d in kid_depths
+                                         if t | d in codes]
+                            if not x:
+                                break
+                            x = (x - 1) & free
+                        codes = hits
+                    for c in codes:
+                        kid = kids.get((i, c))
+                        if kid is None:
+                            kid = kids[i, c] = self._child(p, c)
+                        self._offer(level, kid, rows, r, target, found)
+        root = self.nbase + level - 1
+        return {t: self._least_text(chains, root)
                 for t, (_, chains) in found.items()}
 
     def _offer(self, level, kid, rows, r, target, found):
@@ -460,8 +512,7 @@ class _Searcher:
                 groups = (self._grow(k - 1, *levels[-1]) if levels
                           else [(_Chain((), (), ()), {0: None})])
                 combos = self._combos(self.nbase + k - 1)
-                levels.append((groups, _Rows(self, combos,
-                                             [p for p, _ in groups], k)))
+                levels.append((groups, _Rows(self, combos, groups, k)))
             return levels[level - 1]
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qcamaj import (
     NetworkBuilder,
@@ -437,7 +437,7 @@ def test_shannon_pairs_match_the_majority(parents, g):
     # (candidate 10), one byte lane per parent
     searcher = _Searcher(3, SearchBudget(max_gates=4))
     combos = searcher._combos(11)
-    rows = _Rows(searcher, combos, [_Parent(p) for p in parents], 4)
+    rows = _Rows(searcher, combos, [(_Parent(p), {}) for p in parents], 4)
     pair_rows = set(rows.scan)
     shapes = set()
     for i, tables in enumerate(parents):
@@ -467,7 +467,7 @@ def test_level_one_rows_are_their_own_pairs():
     # level deep
     searcher = _Searcher(3, SearchBudget())
     combos = searcher._combos(searcher.nbase)
-    rows = _Rows(searcher, combos, [_Parent(())], 1)
+    rows = _Rows(searcher, combos, [(_Parent(()), {0: None})], 1)
     assert list(rows.scan) == list(range(len(combos)))
     lo_bytes, hi_bytes = rows.parent(0)
     for r, combo in enumerate(combos):
@@ -477,28 +477,50 @@ def test_level_one_rows_are_their_own_pairs():
     assert rows.depths(()) == bytes([1] * len(combos))
 
 
-@pytest.mark.parametrize("level, parents", [
-    (1, [()]), (4, [(0x96, 0xE8), (0x0F, 0x3C), (0xFE, 0x01)])])
-def test_a_level_is_complete_when_built(level, parents):
+def kid_tables_match(groups, rows):
+    """Each parent's table bitmap marks exactly its children's tables."""
+    return [{t for t in range(256) if bits >> t & 1}
+            for bits in rows.kid_tables] == [
+        {c & 0xFF for c in codes} for _, codes in groups]
+
+
+@pytest.mark.parametrize("level, groups", [
+    (1, [((), [0])]),
+    (4, [((0x96, 0xE8), [0x17 | 1 << 8, 0x17 | 3 << 8, 0x71 | 2 << 8]),
+         ((0x0F, 0x3C), [0x00 | 1 << 8, 0xFF | 2 << 8]),
+         ((0xFE, 0x01), [0x80 | 3 << 8])])])
+def test_a_level_is_complete_when_built(level, groups):
     # cached levels are shared by every later call, so reading one must
     # not fill it
     searcher = _Searcher(3, SearchBudget(max_gates=4))
     combos = searcher._combos(searcher.nbase + level - 1)
-    rows = _Rows(searcher, combos, [_Parent(p) for p in parents], level)
-    assert all(type(v) is int for v in rows.lo + rows.hi)
-    built = (list(rows.lo), list(rows.hi), list(rows._bytes))
-    for i in range(len(parents)):
+    groups = [(_Parent(p), dict.fromkeys(codes)) for p, codes in groups]
+    rows = _Rows(searcher, combos, groups, level)
+    assert all(type(v) is int for v in rows.lo + rows.hi + rows.kid_tables)
+    assert kid_tables_match(groups, rows)
+    built = (list(rows.lo), list(rows.hi), list(rows._bytes),
+             list(rows.kid_tables))
+    for i in range(len(groups)):
         rows.parent(i)
-    assert (rows.lo, rows.hi, rows._bytes) == built
+    assert (rows.lo, rows.hi, rows._bytes, rows.kid_tables) == built
 
 
-def test_cached_levels_hold_no_placeholder():
+@pytest.mark.parametrize("budget, table, depth", [
+    (SearchBudget(), BY_CLASS[SearchBudget()][3], 3),
+    (SearchBudget(5, 5, False), 180, 4)])
+def test_cached_levels_hold_no_placeholder(budget, table, depth):
     synth._LEVELS.clear()
-    synthesize(TruthTable.from_int(3, BY_CLASS[SearchBudget()][3]))
+    synthesize(TruthTable.from_int(3, table), budget)
     [levels] = synth._LEVELS.values()
-    assert len(levels) == 3
-    for _, rows in levels:
+    assert len(levels) == depth
+    for groups, rows in levels:
         assert None not in rows.lo + rows.hi + rows._bytes
+        assert kid_tables_match(groups, rows)
+    # later calls scan the cached levels without changing their bitmaps
+    built = [list(rows.kid_tables) for _, rows in levels]
+    for t in BY_CLASS[budget].values():
+        synthesize(TruthTable.from_int(3, t), budget)
+    assert [rows.kid_tables for _, rows in levels] == built
 
 
 @given(st.tuples(*[st.integers(1, 3)] * 3))
@@ -507,7 +529,7 @@ def test_row_depths_at_level_four(depths):
     # which are 0 deep
     searcher = _Searcher(3, SearchBudget(max_gates=4))
     combos = searcher._combos(11)
-    rows = _Rows(searcher, combos, [_Parent((0, 0))], 4)
+    rows = _Rows(searcher, combos, [(_Parent((0, 0)), {})], 4)
     nbase = searcher.nbase
     assert rows.depths(depths) == bytes(
         1 + max([depths[x - nbase] for x in combo if x >= nbase], default=0)
@@ -515,14 +537,14 @@ def test_row_depths_at_level_four(depths):
 
 
 @st.composite
-def random_chains(draw):
+def random_chains(draw, n=st.integers(1, 3), size=st.integers(0, 4)):
     # operand tuples over the base candidates and the earlier gates, with
     # constants, both literal polarities and repeated operands, then a
     # root among every candidate
-    n = draw(st.integers(1, 3))
+    n = draw(n)
     nbase = 2 + 2 * n
     gates = []
-    for k in range(draw(st.integers(0, 4))):
+    for k in range(draw(size)):
         operand = st.integers(0, nbase + k - 1)
         arity = draw(st.sampled_from((3, 5)))
         gates.append(tuple(draw(st.lists(operand, min_size=arity,
@@ -577,3 +599,55 @@ def test_every_recorded_candidate_has_its_key(monkeypatch):
     synthesize_all_3var(SearchBudget(4, 4, False))
     base = _Searcher(3, SearchBudget()).base_tables
     assert set(recorded) == set(range(256)).difference(base)
+
+
+@st.composite
+def tie_lists(draw):
+    # tied chains as the scan records them, of one length over one
+    # variable count, spliced from random chains so that they share
+    # prefixes, some repeated; seven gates over three variables number up
+    # to 15 nodes, so two-digit node ids are written
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(0, 7))
+    drawn = [gates for _, gates, _ in draw(st.lists(
+        random_chains(st.just(n), st.just(size)), min_size=1, max_size=5))]
+    chains = []
+    for a in drawn:
+        for b in drawn:
+            cut = draw(st.integers(0, size))
+            chains.append(a[:cut] + b[cut:])
+    chains += draw(st.lists(st.sampled_from(chains), max_size=3))
+    return n, chains, draw(st.integers(0, 2 + 2 * n + size - 1))
+
+
+# the same node lines, then "output 5" before "output 3": the tie goes on
+# to the output line
+@example((1, [((0, 2, 3), (1, 2, 2), (1, 2, 2)),
+              ((0, 2, 3), (1, 2, 2), (0, 2, 3))], 6))
+@given(tie_lists())
+def test_ties_settle_to_the_least_text(ties):
+    n, chains, root = ties
+    searcher = _Searcher(n, SearchBudget())
+    assert searcher._least_text(chains, root) == min(
+        searcher._text(gates, root) for gates in chains)
+
+
+def test_every_recorded_tie_settles_to_the_least_text(monkeypatch):
+    least = _Searcher._least_text
+    sizes = []
+
+    def checked(self, chains, root):
+        got = least(self, chains, root)
+        assert got == min(self._text(gates, root) for gates in chains)
+        sizes.append(len(chains))
+        return got
+
+    monkeypatch.setattr(_Searcher, "_least_text", checked)
+    gated = 0
+    for budget in (SearchBudget(), SearchBudget(max_gates=2),
+                   SearchBudget(4, 4, False)):
+        gated += sum(e.network is not None and e.cost.levels > 0
+                     for e in synthesize_all_3var(budget))
+    # one tie per target a gate solves, most of them more than one chain
+    assert len(sizes) == gated
+    assert sum(k > 1 for k in sizes) > gated // 2
