@@ -484,17 +484,17 @@ def kid_tables_match(groups, rows):
         {c & 0xFF for c in codes} for _, codes in groups]
 
 
-@pytest.mark.parametrize("level, groups", [
+@pytest.mark.parametrize("level, parents", [
     (1, [((), [0])]),
     (4, [((0x96, 0xE8), [0x17 | 1 << 8, 0x17 | 3 << 8, 0x71 | 2 << 8]),
          ((0x0F, 0x3C), [0x00 | 1 << 8, 0xFF | 2 << 8]),
          ((0xFE, 0x01), [0x80 | 3 << 8])])])
-def test_a_level_is_complete_when_built(level, groups):
+def test_a_level_is_complete_when_built(level, parents):
     # cached levels are shared by every later call, so reading one must
-    # not fill it
+    # not fill it; each parent comes with its children's codes
     searcher = _Searcher(3, SearchBudget(max_gates=4))
     combos = searcher._combos(searcher.nbase + level - 1)
-    groups = [(_Parent(p), dict.fromkeys(codes)) for p, codes in groups]
+    groups = [(_Parent(p), dict.fromkeys(codes)) for p, codes in parents]
     rows = _Rows(searcher, combos, groups, level)
     assert all(type(v) is int for v in rows.lo + rows.hi + rows.kid_tables)
     assert kid_tables_match(groups, rows)
@@ -505,22 +505,22 @@ def test_a_level_is_complete_when_built(level, groups):
     assert (rows.lo, rows.hi, rows._bytes, rows.kid_tables) == built
 
 
-@pytest.mark.parametrize("budget, table, depth", [
-    (SearchBudget(), BY_CLASS[SearchBudget()][3], 3),
-    (SearchBudget(5, 5, False), 180, 4)])
-def test_cached_levels_hold_no_placeholder(budget, table, depth):
-    synth._LEVELS.clear()
-    synthesize(TruthTable.from_int(3, table), budget)
-    [levels] = synth._LEVELS.values()
-    assert len(levels) == depth
-    for groups, rows in levels:
-        assert None not in rows.lo + rows.hi + rows._bytes
-        assert kid_tables_match(groups, rows)
-    # later calls scan the cached levels without changing their bitmaps
-    built = [list(rows.kid_tables) for _, rows in levels]
-    for t in BY_CLASS[budget].values():
-        synthesize(TruthTable.from_int(3, t), budget)
-    assert [rows.kid_tables for _, rows in levels] == built
+def test_cached_levels_hold_no_placeholder():
+    for budget, table, depth in (
+            (SearchBudget(), BY_CLASS[SearchBudget()][3], 3),
+            (SearchBudget(5, 5, False), 180, 4)):
+        synth._LEVELS.clear()
+        synthesize(TruthTable.from_int(3, table), budget)
+        [levels] = synth._LEVELS.values()
+        assert len(levels) == depth
+        for groups, rows in levels:
+            assert None not in rows.lo + rows.hi + rows._bytes
+            assert kid_tables_match(groups, rows)
+        # later calls scan the cached levels and leave their bitmaps be
+        built = [list(rows.kid_tables) for _, rows in levels]
+        for t in BY_CLASS[budget].values():
+            synthesize(TruthTable.from_int(3, t), budget)
+        assert [rows.kid_tables for _, rows in levels] == built
 
 
 @given(st.tuples(*[st.integers(1, 3)] * 3))
