@@ -148,6 +148,18 @@ def _pairs(even: bytes, odd: bytes) -> int:
     return int.from_bytes(both, "little")
 
 
+def _agreeing(target: int, m: int, mask: int) -> int:
+    """The int whose bit t is set for each table t that agrees with
+    target wherever m is set."""
+    want, free = target & m, mask ^ m
+    out, x = 0, free
+    while True:
+        out |= 1 << (want | x)
+        if not x:
+            return out
+        x = (x - 1) & free
+
+
 def _gate(combo: tuple, lanes: list) -> int:
     """The gate's table over operand tuple combo, operands read from lanes."""
     return (maj3 if len(combo) == 3 else maj5)(*[lanes[x] for x in combo])
@@ -335,7 +347,10 @@ class _Searcher:
         hi, which one test checks for every parent.  When g does not
         matter (lo == hi == T) every child of the parent makes T;
         otherwise the children whose table agrees with T where g matters
-        are looked up by table, probing only tables some child has."""
+        are looked up by table, probing only the tables that both agree
+        and are some child's: one AND of the parent's table bitmap with
+        the agreeing tables' bitmap, which each target builds once per
+        mask m."""
         mask, ones, np = self.mask, rows.ones, rows.np
         lo_bytes, hi_bytes = rows._bytes
         kid_depths = [d << 8 for d in range(1, level)] if level > 1 else [0]
@@ -343,9 +358,11 @@ class _Searcher:
         found: dict[int, tuple] = {}    # target -> (key, tied chains)
         for target in unsolved:
             many = target * ones
+            agree: dict[int, int] = {}      # m -> _agreeing(target, m)
             for r in rows.scan:
-                # a lane stays nonzero where the parent's pair misses T
-                miss = rows.lo[r] & ~many | many & ~rows.hi[r]
+                # lo <= T <= hi just when (lo | T) & hi is T, as lo is
+                # inside hi; a lane stays nonzero where the pair misses T
+                miss = ((rows.lo[r] | many) & rows.hi[r]) ^ many
                 miss |= miss >> 4
                 miss |= miss >> 2
                 miss |= miss >> 1
@@ -359,17 +376,18 @@ class _Searcher:
                     p, codes = groups[i]
                     if m:
                         # the children whose table agrees with T on m
-                        want, free = target & m, mask ^ m
-                        tables, hits = rows.kid_tables[i], []
-                        x = free
-                        while True:
-                            t = want | x
-                            if tables >> t & 1:
-                                hits += [t | d for d in kid_depths
-                                         if t | d in codes]
-                            if not x:
-                                break
-                            x = (x - 1) & free
+                        hit = agree.get(m)
+                        if hit is None:
+                            hit = agree[m] = _agreeing(target, m, mask)
+                        hit &= rows.kid_tables[i]
+                        if not hit:
+                            continue
+                        hits = []
+                        while hit:
+                            t = (hit & -hit).bit_length() - 1
+                            hit &= hit - 1
+                            hits += [t | d for d in kid_depths
+                                     if t | d in codes]
                         codes = hits
                     for c in codes:
                         kid = kids.get((i, c))
