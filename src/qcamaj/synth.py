@@ -25,7 +25,8 @@ bit operations per child.  Both passes of a level read this table:
   some child only if lo <= T <= hi, which one test checks for every
   parent.  If g does not matter there, every child makes T; otherwise
   the children that do are looked up by table, probing only the tables
-  that one int per parent marks as some child's.
+  that agree with T where g matters and that the parent's table bitmap,
+  one int per parent, marks as some child's.
 - The growth step extends every state by each gate of a function new to
   its chain and shallower than max_levels, in tuple order, and keeps the
   first chain per (table, depth) profile.
@@ -178,8 +179,8 @@ class _Rows:
     scan reads the pairs; at level 1 no tuple holds g, as the chain has
     no gate yet, so every gate is new and every row scans.  kid_tables
     holds, per parent, one int whose bit t is set when some child's g has
-    table t, so that the scan probes a parent's codes only for tables it
-    has.
+    table t, so that the scan probes a parent's codes only for tables
+    that some child has.
     """
 
     def __init__(self, searcher, combos, groups, level):
@@ -200,7 +201,6 @@ class _Rows:
                      or range(len(combos)))
         self._bytes = [b"".join(v.to_bytes(np, "little") for v in half)
                        for half in (self.lo, self.hi)]
-        # per parent, an int with bit t set when some child has table t
         self.kid_tables = [sum(1 << t for t in {c & _BYTE for c in codes})
                            for _, codes in groups]
         self._zeros = (0,) * searcher.nbase     # the base candidates' depths
@@ -316,9 +316,8 @@ class _Searcher:
         each round advances every chain still tied by one line and keeps
         those whose line is least.  Every line sorts above the newline
         that ends the line before it, so line lists order as their texts
-        do.
-        Once one chain is left, or the least line is the output line (the
-        last, so the survivors' texts are equal), only its text is
+        do.  Once one chain is left, or the least line is the output line
+        (the last, so the survivors' texts are equal), only its text is
         written."""
         alive = [(self._lines(c, root), c) for c in chains]
         while len(alive) > 1:
