@@ -117,9 +117,10 @@ class Cell(NamedTuple):
 
 
 def _checked_index(cells: tuple[Cell, ...], dim: int
-                   ) -> dict[tuple[int, ...], int]:
-    """Map each position to its cell's index, checking cell by cell in
-    list order; raise ValueError naming the first faulty cell."""
+                   ) -> tuple[dict[tuple[int, ...], int], int]:
+    """Map each position to its cell's index, and find the output cell's
+    index, checking cell by cell in list order; raise ValueError naming
+    the first faulty cell."""
     index = {}
     outputs = 0
     for i, c in enumerate(cells):
@@ -142,6 +143,7 @@ def _checked_index(cells: tuple[Cell, ...], dim: int
             raise ValueError(f"cell {i} has unknown role {role!r}")
         if role == OUTPUT:
             outputs += 1
+            output = i
         if role == DRIVER:
             p = c.polarization
             if not (isinstance(p, numbers.Real) and -1.0 <= p <= 1.0):
@@ -149,7 +151,7 @@ def _checked_index(cells: tuple[Cell, ...], dim: int
                                  f"in [-1, 1], got {p}")
     if outputs != 1:
         raise ValueError(f"need exactly one output cell, got {outputs}")
-    return index
+    return index, output
 
 
 class CellGrid:
@@ -165,10 +167,8 @@ class CellGrid:
         dim = len(first)
         if dim not in (2, 3):
             raise ValueError(f"positions must be 2D or 3D, got {dim}D")
-        roles = list(map(operator.attrgetter("role"), cells))
-        index = _checked_index(cells, dim)
+        index, self.output_index = _checked_index(cells, dim)
         self.cells = cells
-        self.output_index = roles.index(OUTPUT)
         axes = list(zip(*index))    # per coordinate, in cell order
         found = [[] for _ in cells]
         for step, w in _STEPS[dim]:

@@ -64,7 +64,7 @@ than an exception.
 from __future__ import annotations
 
 import itertools
-import sys
+import struct
 import threading
 from dataclasses import dataclass
 
@@ -111,8 +111,8 @@ class _Chain:
     """A search state: a chain of gates, held as their operand tuples,
     tables and depths.  A gate's code is its table | depth << 8; `codes`
     holds the code each of the chain's growth rows makes, two bytes per
-    row, and the operand tuple of a child's newest gate is the first row
-    with its code."""
+    row, little-endian on every host, and the operand tuple of a child's
+    newest gate is the first row with its code."""
 
     __slots__ = ("gates", "tables", "depths", "codes")
 
@@ -124,17 +124,9 @@ class _Chain:
         return frozenset(t | d << 8 for t, d in zip(self.tables, self.depths))
 
 
-def _lanes(raw: bytes) -> memoryview:
-    """The 16-bit little-endian lanes of raw, as ints."""
-    if sys.byteorder == "big":
-        swapped = bytearray(len(raw))
-        swapped[0::2], swapped[1::2] = raw[1::2], raw[0::2]
-        raw = swapped
-    return memoryview(raw).cast("H")
-
-
 def _first_row(codes: bytes, code: int) -> int:
-    """The first 16-bit little-endian lane of codes that holds code."""
+    """The first 16-bit lane of codes that holds code; codes are
+    little-endian on every host."""
     needle = code.to_bytes(2, "little")
     at = codes.index(needle)
     while at & 1:       # a match across two lanes
@@ -271,15 +263,14 @@ class _Searcher:
     def _lines(self, gates, root: int):
         """The node lines, then the output line, of _text(gates, root),
         each made when it is asked for.  Nodes are numbered in first-use
-        order."""
+        order.  A gate has 3 or 5 operands, so the 1-tuple (root,) that
+        ends the walk is the output."""
         n, nbase = self.n, self.nbase
         # node ids, keyed by base candidate index or by gate node text
         ids: dict = {}
         gate_ids: list[int] = []
-
-        def operands(combo, args):
-            """Append the node id of each operand in combo to args,
-            yielding the line of each node first used on the way."""
+        for combo in (*gates, (root,)):
+            args: list[int] = []
             for ci in combo:
                 if ci >= nbase:
                     args.append(gate_ids[ci - nbase])
@@ -292,18 +283,14 @@ class _Searcher:
                                f"{i} input {x - 2}" if x < 2 + n else
                                f"{i} not {ids[x - n]}")
                 args.append(ids[ci])
-
-        for combo in gates:
-            args: list[int] = []
-            yield from operands(combo, args)
+            if len(combo) == 1:
+                yield f"output {args[0]}"
+                return
             node = f"maj{len(combo)} " + " ".join(map(str, args))
             if node not in ids:
                 ids[node] = len(ids)
                 yield f"{ids[node]} {node}"
             gate_ids.append(ids[node])
-        args = []
-        yield from operands((root,), args)
-        yield f"output {args[0]}"
 
     def _text(self, gates, root: int) -> str:
         """to_text of the network NetworkBuilder makes from the chain's
@@ -352,7 +339,7 @@ class _Searcher:
         mask m."""
         mask, ones, np = self.mask, rows.ones, rows.np
         lo_bytes, hi_bytes = rows._bytes
-        kid_depths = [d << 8 for d in range(1, level)] if level > 1 else [0]
+        kid_depths = [d << 8 for d in range(1, level)]
         kids: dict[tuple, _Chain] = {}
         found: dict[int, tuple] = {}    # target -> (key, tied chains)
         for target in unsolved:
@@ -422,6 +409,7 @@ class _Searcher:
                         for d in range(256))
         count = len(rows.combos)
         ones = int.from_bytes(b"\x01\x00" * count, "little")
+        unpack = struct.Struct(f"<{count}H").unpack     # as codes are written
         profiles = [p.profile() for p, _ in groups]
         # two states' keys can meet only on a code of some profile; each
         # such code gets a bit, and a key ORs its codes' bits
@@ -448,7 +436,7 @@ class _Searcher:
                 lo_d, keep_d = by_depth[d]
                 codes = ((t * ones & hi | lo_d) & keep_d).to_bytes(
                     2 * count, "little")
-                fresh = dict.fromkeys(_lanes(codes))
+                fresh = dict.fromkeys(unpack(codes))
                 fresh.pop(0, None)
                 for x in drop:
                     fresh.pop(x, None)

@@ -12,7 +12,8 @@ couplings_reference and relax_reference are the cell layer's former
 coupling build and sweep loop, kept as the exactness oracle for the
 forward-half probe and the hoisted sweep that replaced them.
 checked_index_reference is the grid check as it stood beside the bulk
-checks it outlived, kept as the oracle for its index and error messages.
+checks it outlived, kept as the oracle for its index and error messages;
+the output cell it does not return is checked by role.
 clocked_relax settles the free cells zone by zone outward from the
 drivers before the sweep, so its answer does not hang on the cell list
 order that relax uses as its clock.

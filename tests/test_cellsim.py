@@ -194,7 +194,9 @@ def _assert_checks_as_reference(cells):
             _checked_index(cells, dim)
         assert str(got.value) == str(e), cells
     else:
-        assert list(_checked_index(cells, dim).items()) == list(want.items())
+        index, output = _checked_index(cells, dim)
+        assert list(index.items()) == list(want.items())
+        assert cells[output].role == OUTPUT
 
 
 def test_grid_checks_match_the_former_cell_loop():

@@ -30,7 +30,7 @@ from qcamaj import (
 from qcamaj import synth
 from qcamaj.errors import CapacityError
 from qcamaj.network import reachable
-from qcamaj.synth import _Rows, _Searcher
+from qcamaj.synth import _Rows, _Searcher, _first_row
 from qcamaj.truthtable import maj3, maj5
 
 import _oracles
@@ -516,6 +516,16 @@ def test_cached_levels_hold_no_placeholder():
         for groups, rows in levels:
             assert None not in rows.lo + rows.hi + rows._bytes
             assert kid_tables_match(groups, rows)
+        # each child code is decoded apart from the search's own reads:
+        # a group lists its codes in the order their rows first make them,
+        # and the first of those rows gives the child's newest gate
+        for groups, _ in levels[1:]:
+            for p, codes in groups:
+                lanes = [int.from_bytes(p.codes[k:k + 2], "little")
+                         for k in range(0, len(p.codes), 2)]
+                assert list(codes) == sorted(codes, key=lanes.index)
+                for c in codes:
+                    assert _first_row(p.codes, c) == lanes.index(c)
         # later calls scan the cached levels and leave their bitmaps be
         built = [list(rows.kid_tables) for _, rows in levels]
         for t in BY_CLASS[budget].values():
