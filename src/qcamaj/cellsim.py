@@ -1,11 +1,11 @@
 """Cell-level relaxation model for majority-logic primitives.
 
 Cells sit on an integer lattice, two-dimensional for the planar gates and
-three-dimensional for the cube-cell five-input gate; a grid rejects a
-position that is not a tuple of int, bool refused.  A cell's state is a
-polarization in [-1, +1]; +1 encodes logic 1.  Drivers hold a fixed
-polarization, a numbers.Real, free cells settle, and exactly one cell is
-the designated output.
+three-dimensional for the cube-cell five-input gate; a grid takes only
+Cell objects and rejects a position that is not a tuple of int, bool
+refused.  A cell's state is a polarization in [-1, +1]; +1 encodes logic
+1.  Drivers hold a fixed polarization, a numbers.Real, free cells
+settle, and exactly one cell is the designated output.
 
 Each relaxation sweep updates the non-driver cells in list order through
 the saturating response
@@ -116,20 +116,27 @@ class Cell(NamedTuple):
     polarization: float = 0.0
 
 
-def _checked_index(cells: tuple[Cell, ...], dim: int
+def _checked_index(cells: tuple[Cell, ...]
                    ) -> tuple[dict[tuple[int, ...], int], int]:
     """Map each position to its cell's index, and find the output cell's
     index, checking cell by cell in list order; raise ValueError naming
-    the first faulty cell."""
+    the first faulty cell.  Cell 0 sets the grid's dimension."""
+    if not cells:
+        raise ValueError("a grid needs at least one cell")
     index = {}
     outputs = 0
     for i, c in enumerate(cells):
-        # by attribute, so any object with these attributes reads as a cell
-        position = c.position
-        role = c.role
+        # only a Cell, immutable, keeps what the checks read
+        if type(c) is not Cell:
+            raise ValueError(f"cell {i}: {c!r} is not a Cell")
+        position, role, p = c
         if type(position) is not tuple:
             raise ValueError(f"cell {i}: position {position!r} is not "
                              f"a tuple")
+        if not i:
+            dim = len(position)
+            if dim not in (2, 3):
+                raise ValueError(f"positions must be 2D or 3D, got {dim}D")
         if len(position) != dim:
             raise ValueError(f"cell {i} is {len(position)}D in a {dim}D grid")
         for x in position:
@@ -145,7 +152,6 @@ def _checked_index(cells: tuple[Cell, ...], dim: int
             outputs += 1
             output = i
         if role == DRIVER:
-            p = c.polarization
             if not (isinstance(p, numbers.Real) and -1.0 <= p <= 1.0):
                 raise ValueError(f"cell {i}: driver polarization must lie "
                                  f"in [-1, 1], got {p}")
@@ -159,19 +165,11 @@ class CellGrid:
 
     def __init__(self, cells: Sequence[Cell]):
         cells = tuple(cells)
-        if not cells:
-            raise ValueError("a grid needs at least one cell")
-        first = cells[0].position
-        if type(first) is not tuple:
-            raise ValueError(f"cell 0: position {first!r} is not a tuple")
-        dim = len(first)
-        if dim not in (2, 3):
-            raise ValueError(f"positions must be 2D or 3D, got {dim}D")
-        index, self.output_index = _checked_index(cells, dim)
+        index, self.output_index = _checked_index(cells)
         self.cells = cells
         axes = list(zip(*index))    # per coordinate, in cell order
         found = [[] for _ in cells]
-        for step, w in _STEPS[dim]:
+        for step, w in _STEPS[len(axes)]:
             moved = zip(*[map(operator.add, axis, itertools.repeat(d))
                           for axis, d in zip(axes, step)])
             for i, j in enumerate(map(index.get, moved)):

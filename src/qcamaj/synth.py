@@ -43,9 +43,9 @@ a budget pays for the build and the next ones only scan.  It holds one
 key at a time: a call under another key drops the held levels first,
 so the cache keeps no more than one search of that budget allocates
 (about 1.2 MB for the default budget and 4.2 MB for SearchBudget(5, 5,
-False) by tracemalloc, operand tuples included).  A level's row table
-and its children's table bitmaps are built whole, so a cached level is
-read-only once built; only its depths memo still fills.
+False) by tracemalloc, operand tuples included).  A level's row table,
+its children's table bitmaps and its rows' depths are built whole, so a
+cached level is read-only once built.
 
 Among the networks with inverters on inputs that realize a target with
 the fewest majority gates, the result minimizes (gate_count, levels,
@@ -161,7 +161,7 @@ def _gate(combo: tuple, lanes: list) -> int:
 class _Rows:
     """One level's row table: every operand tuple evaluated for every
     parent chain at once, one byte lane per parent.  It is built whole,
-    and read-only once built but for the depths memo.
+    and read-only once built.
 
     The children of a parent differ only in their newest gate g.  A row
     whose tuple holds g is the Shannon pair (lo, hi): the tuple's table
@@ -172,7 +172,11 @@ class _Rows:
     no gate yet, so every gate is new and every row scans.  kid_tables
     holds, per parent, one int whose bit t is set when some child's g has
     table t, so that the scan probes a parent's codes only for tables
-    that some child has.
+    that some child has.  depths maps each depths tuple a child can have,
+    its chain's gate depths with g last, to every row's gate depth (a
+    byte each), those depths in the high bytes of 16-bit lanes, and the
+    mask of the lanes whose gate is shallower than max_levels, for
+    growth.
     """
 
     def __init__(self, searcher, combos, groups, level):
@@ -195,22 +199,21 @@ class _Rows:
                        for half in (self.lo, self.hi)]
         self.kid_tables = [sum(1 << t for t in {c & _BYTE for c in codes})
                            for _, codes in groups]
-        self._zeros = (0,) * searcher.nbase     # the base candidates' depths
-        self._depths: dict[tuple, bytes] = {}
+        # a child's gates are its parent's, then g at depth 1 to level - 1;
+        # level 1's only child is the empty chain
+        zeros, cap = (0,) * searcher.nbase, searcher.budget.max_levels
+        self.depths: dict[tuple, tuple[bytes, int, int]] = {}
+        for depths in {p.depths + (d,) for p in parents
+                       for d in range(1, level)} or {()}:
+            d = zeros + depths
+            gate = bytes(1 + max([d[x] for x in c]) for c in combos)
+            keep = bytes(0xFF if x < cap else 0 for x in gate)
+            self.depths[depths] = (gate, _pairs(bytes(len(gate)), gate),
+                                   _pairs(keep, keep))
 
     def parent(self, i: int) -> tuple[bytes, bytes]:
         """Every row's lo and hi for parent i, a byte each."""
         return self._bytes[0][i::self.np], self._bytes[1][i::self.np]
-
-    def depths(self, depths: tuple) -> bytes:
-        """Every row's gate depth when the chain's gates, g last, have
-        these depths."""
-        got = self._depths.get(depths)
-        if got is None:
-            d = self._zeros + depths
-            got = self._depths[depths] = bytes(
-                1 + max([d[x] for x in combo]) for combo in self.combos)
-        return got
 
 
 class _Searcher:
@@ -339,7 +342,7 @@ class _Searcher:
         mask m."""
         mask, ones, np = self.mask, rows.ones, rows.np
         lo_bytes, hi_bytes = rows._bytes
-        kid_depths = [d << 8 for d in range(1, level)]
+        depth_codes = [d << 8 for d in range(1, level)]
         kids: dict[tuple, _Chain] = {}
         found: dict[int, tuple] = {}    # target -> (key, tied chains)
         for target in unsolved:
@@ -372,7 +375,7 @@ class _Searcher:
                         while hit:
                             t = (hit & -hit).bit_length() - 1
                             hit &= hit - 1
-                            hits += [t | d for d in kid_depths
+                            hits += [t | d for d in depth_codes
                                      if t | d in codes]
                         codes = hits
                     for c in codes:
@@ -389,7 +392,7 @@ class _Searcher:
         it ties or beats the best key so far."""
         chain = kid.gates + (rows.combos[r],)
         ninv = len(self.negated.intersection(itertools.chain(*chain)))
-        key = (level + ninv, rows.depths(kid.depths)[r], ninv)
+        key = (level + ninv, rows.depths[kid.depths][0][r], ninv)
         best = found.get(target)
         if best is None or key < best[0]:
             found[target] = (key, [chain])
@@ -402,13 +405,13 @@ class _Searcher:
         operand); the first state per (table, depth) profile stands for
         all of them.  Returns the next level's groups."""
         depth_range = range(1, level + 1)
-        base_codes = {t | d << 8 for t in self.base_tables
-                      for d in depth_range}
-        # a row too deep for an operand makes code 0, which no gate has
-        shallow = bytes(0xFF if d < self.budget.max_levels else 0
-                        for d in range(256))
+        # a row too deep for an operand makes code 0 (its keep lane is 0),
+        # which no gate has, so it drops with the base candidates' codes
+        base_codes = {0}.union([t | d << 8 for t in self.base_tables
+                                for d in depth_range])
         count = len(rows.combos)
         ones = int.from_bytes(b"\x01\x00" * count, "little")
+        zeros = bytes(count)
         unpack = struct.Struct(f"<{count}H").unpack     # as codes are written
         profiles = [p.profile() for p, _ in groups]
         # two states' keys can meet only on a code of some profile; each
@@ -420,24 +423,17 @@ class _Searcher:
         seen: set[int] = set()
         out = []
         for i, (p, kids) in enumerate(groups):
-            lo, hi = rows.parent(i)
-            hi = _pairs(hi, bytes(count))
-            by_depth: dict[int, tuple] = {}
+            lo, hi = (_pairs(half, zeros) for half in rows.parent(i))
             drop = base_codes.union([t | d << 8 for t in p.tables
                                      for d in depth_range])
             bits = sum(bit[x] for x in profiles[i])
             for k, c in enumerate(kids):
                 kid = self._child(p, c)
-                t, d = c & _BYTE, c >> 8
-                if d not in by_depth:
-                    gate_depths = rows.depths(kid.depths)
-                    keep = gate_depths.translate(shallow)
-                    by_depth[d] = (_pairs(lo, gate_depths), _pairs(keep, keep))
-                lo_d, keep_d = by_depth[d]
-                codes = ((t * ones & hi | lo_d) & keep_d).to_bytes(
+                t = c & _BYTE
+                _, deep, keep = rows.depths[kid.depths]
+                codes = ((t * ones & hi | lo | deep) & keep).to_bytes(
                     2 * count, "little")
                 fresh = dict.fromkeys(unpack(codes))
-                fresh.pop(0, None)
                 for x in drop:
                     fresh.pop(x, None)
                 for e in depth_range:

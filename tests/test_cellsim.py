@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import time
+import types
 from decimal import Decimal
 from fractions import Fraction
 
@@ -165,6 +166,23 @@ def test_grid_validation():
             CellGrid([Cell((0, 0), DRIVER, p), Cell((1, 0), OUTPUT)])
     for p in (Fraction(1, 2), True):
         CellGrid([Cell((0, 0), DRIVER, p), Cell((1, 0), OUTPUT)])
+    # a grid takes only Cells: a plain tuple, or a mutable object with a
+    # cell's attributes whose driver could turn NaN after the checks
+    with pytest.raises(ValueError, match=(
+            r"^cell 0: \(\(0, 0\), 'output', 0.0\) is not a Cell$")):
+        CellGrid([((0, 0), "output", 0.0)])
+    with pytest.raises(ValueError, match=r"^cell 1: None is not a Cell$"):
+        CellGrid([Cell((0, 0), OUTPUT), None])
+    loose = types.SimpleNamespace(position=(0, 0), role=DRIVER,
+                                  polarization=1.0)
+    with pytest.raises(ValueError, match=r"^cell 0: namespace\("):
+        CellGrid([loose, Cell((1, 0), OUTPUT)])
+
+    class Looks(Cell):
+        pass
+
+    with pytest.raises(ValueError, match=r"^cell 1: Looks\("):
+        CellGrid([Cell((0, 0), OUTPUT), Looks((1, 0))])
 
 # what one fault makes of a cell; a grid that takes two of them, in any
 # two cells, must get from the grid check the former check's index or its
@@ -186,15 +204,21 @@ FAULTS = (
 
 def _assert_checks_as_reference(cells):
     cells = tuple(cells)
-    dim = len(cells[0].position)
     try:
+        # the checks CellGrid made on cell 0 before the cell loop
+        first = cells[0].position
+        if type(first) is not tuple:
+            raise ValueError(f"cell 0: position {first!r} is not a tuple")
+        dim = len(first)
+        if dim not in (2, 3):
+            raise ValueError(f"positions must be 2D or 3D, got {dim}D")
         want = _oracles.checked_index_reference(cells, dim)
     except ValueError as e:
         with pytest.raises(ValueError) as got:
-            _checked_index(cells, dim)
+            _checked_index(cells)
         assert str(got.value) == str(e), cells
     else:
-        index, output = _checked_index(cells, dim)
+        index, output = _checked_index(cells)
         assert list(index.items()) == list(want.items())
         assert cells[output].role == OUTPUT
 

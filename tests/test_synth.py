@@ -427,6 +427,7 @@ def test_no_maj5_atlas_text_is_frozen(no_maj5_atlas):
 class _Parent:
     def __init__(self, tables):
         self.tables = tuple(tables)
+        self.depths = (1,) * len(self.tables)
 
 
 @given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)),
@@ -474,7 +475,8 @@ def test_level_one_rows_are_their_own_pairs():
         want = (maj3 if len(combo) == 3 else maj5)(
             *[searcher.base_tables[x] for x in combo])
         assert rows.hi[r] == rows.lo[r] == lo_bytes[r] == hi_bytes[r] == want
-    assert rows.depths(()) == bytes([1] * len(combos))
+    assert list(rows.depths) == [()]
+    assert rows.depths[()][0] == bytes([1] * len(combos))
 
 
 def kid_tables_match(groups, rows):
@@ -499,10 +501,11 @@ def test_a_level_is_complete_when_built(level, parents):
     assert all(type(v) is int for v in rows.lo + rows.hi + rows.kid_tables)
     assert kid_tables_match(groups, rows)
     built = (list(rows.lo), list(rows.hi), list(rows._bytes),
-             list(rows.kid_tables))
+             list(rows.kid_tables), dict(rows.depths))
     for i in range(len(groups)):
         rows.parent(i)
-    assert (rows.lo, rows.hi, rows._bytes, rows.kid_tables) == built
+    assert (rows.lo, rows.hi, rows._bytes, rows.kid_tables,
+            rows.depths) == built
 
 
 def test_cached_levels_hold_no_placeholder():
@@ -526,11 +529,20 @@ def test_cached_levels_hold_no_placeholder():
                 assert list(codes) == sorted(codes, key=lanes.index)
                 for c in codes:
                     assert _first_row(p.codes, c) == lanes.index(c)
-        # later calls scan the cached levels and leave their bitmaps be
-        built = [list(rows.kid_tables) for _, rows in levels]
+        # every child's depths tuple has its rows' depths
+        searcher = _Searcher(3, budget)
+        for groups, rows in levels:
+            for p, codes in groups:
+                for c in codes:
+                    assert searcher._child(p, c).depths in rows.depths
+        # later calls scan the cached levels and leave their bitmaps and
+        # depths be
+        built = [(list(rows.kid_tables), dict(rows.depths))
+                 for _, rows in levels]
         for t in BY_CLASS[budget].values():
             synthesize(TruthTable.from_int(3, t), budget)
-        assert [rows.kid_tables for _, rows in levels] == built
+        assert [(rows.kid_tables, rows.depths)
+                for _, rows in levels] == built
 
 
 @given(st.tuples(*[st.integers(1, 3)] * 3))
@@ -539,9 +551,11 @@ def test_row_depths_at_level_four(depths):
     # which are 0 deep
     searcher = _Searcher(3, SearchBudget(max_gates=4))
     combos = searcher._combos(11)
-    rows = _Rows(searcher, combos, [(_Parent((0, 0)), {})], 4)
+    parent = _Parent((0, 0))
+    parent.depths = depths[:2]
+    rows = _Rows(searcher, combos, [(parent, {})], 4)
     nbase = searcher.nbase
-    assert rows.depths(depths) == bytes(
+    assert rows.depths[depths][0] == bytes(
         1 + max([depths[x - nbase] for x in combo if x >= nbase], default=0)
         for combo in combos)
 
