@@ -35,17 +35,19 @@ A solving gate's network is its whole chain, so the levels stop at the
 most gates a cone of max_levels depth can hold, and a tight level budget
 ends the search early.
 
-A level's groups and row table depend only on (n_vars, allow_maj5,
-max_levels), never on the targets, which only pick the level where the
-search stops.  _LEVELS keeps them for later calls in the process, each
-level built the first time a call reaches it, so the first call under
-a budget pays for the build and the next ones only scan.  It holds one
-key at a time: a call under another key drops the held levels first,
-so the cache keeps no more than one search of that budget allocates
-(about 1.2 MB for the default budget and 4.2 MB for SearchBudget(5, 5,
-False) by tracemalloc, operand tuples included).  A level's row table,
-its children's table bitmaps and its rows' depths are built whole, so a
-cached level is read-only once built.
+A level is its _Rows, which holds its groups and level number beside
+the row table.  It depends only on (n_vars, allow_maj5, max_levels),
+never on the targets, which only pick the level where the search stops.
+_LEVELS keeps the levels for later calls in the process, each built the
+first time a call reaches it, so the first call under a budget pays for
+the build and the next ones only scan.  It holds one key at a time: a
+call under another key drops the held levels first, so the cache keeps
+no more than one search of that budget allocates (about 1.2 MB for the
+default budget and 4.2 MB for SearchBudget(5, 5, False) by tracemalloc,
+operand tuples included).  A level's row table, its children's table
+bitmaps and its rows' depths are built whole, and growth gives the next
+level new parent chains, so no later call or level writes to a cached
+level: not its tables, nor its parent chains.
 
 Among the networks with inverters on inputs that realize a target with
 the fewest majority gates, the result minimizes (gate_count, levels,
@@ -100,9 +102,9 @@ class SearchBudget:
 
 _BYTE = 0xFF    # a table of up to three variables fits one byte
 _COMBOS: dict[tuple, list] = {}     # _Searcher._combos, built on first use
-# _Searcher._level: (n_vars, allow_maj5, max_levels) -> each level's
-# (groups, rows), built on first use; one key at a time.  Threads that
-# reach an unbuilt level together would append it twice without the lock
+# _Searcher._level: (n_vars, allow_maj5, max_levels) -> each level's _Rows,
+# built on first use; one key at a time.  Threads that reach an unbuilt
+# level together would append it twice without the lock
 _LEVELS: dict[tuple, list] = {}
 _LEVELS_LOCK = threading.Lock()
 
@@ -159,9 +161,11 @@ def _gate(combo: tuple, lanes: list) -> int:
 
 
 class _Rows:
-    """One level's row table: every operand tuple evaluated for every
-    parent chain at once, one byte lane per parent.  It is built whole,
-    and read-only once built.
+    """One search level: its number, its groups (each parent chain with
+    its children's codes) and its row table, every operand tuple
+    evaluated for every parent at once, one byte lane per parent.  It is
+    built whole, and nothing writes to it or to its parent chains once
+    it is built.
 
     The children of a parent differ only in their newest gate g.  A row
     whose tuple holds g is the Shannon pair (lo, hi): the tuple's table
@@ -180,7 +184,7 @@ class _Rows:
     """
 
     def __init__(self, searcher, combos, groups, level):
-        self.combos = combos
+        self.combos, self.groups, self.level = combos, groups, level
         parents = [p for p, _ in groups]
         self.np = np = len(parents)
         self.ones = ones = int.from_bytes(b"\x01" * np, "little")
@@ -321,25 +325,26 @@ class _Searcher:
     # ---- the search ------------------------------------------------------
 
     def _child(self, p, c) -> _Chain:
-        """The chain of parent p's child whose newest gate has code c;
-        code 0, which no gate has, adds none."""
+        """A new chain: parent p's child whose newest gate has code c.
+        Code 0, which no gate has, adds none, so its chain is a copy of
+        p and growth writes the next level's codes to the copy."""
         if not c:
-            return p
+            return _Chain(p.gates, p.tables, p.depths)
         combo = self._combos(self.nbase + len(p.gates))[
             _first_row(p.codes, c)]
         return _Chain(p.gates + (combo,), p.tables + (c & _BYTE,),
                       p.depths + (c >> 8,))
 
-    def _scan(self, level, groups, rows, unsolved):
-        """The text of the best network per target that a gate of this
-        level solves.  A row's pair can make target T only if lo <= T <=
-        hi, which one test checks for every parent.  When g does not
-        matter (lo == hi == T) every child of the parent makes T;
-        otherwise the children whose table agrees with T where g matters
-        are looked up by table, probing only the tables that both agree
-        and are some child's: one AND of the parent's table bitmap with
-        the agreeing tables' bitmap, which each target builds once per
-        mask m."""
+    def _scan(self, rows, unsolved):
+        """The best network per target that a gate of level rows solves.
+        A row's pair can make target T only if lo <= T <= hi, which one
+        test checks for every parent.  When g does not matter (lo == hi
+        == T) every child of the parent makes T; otherwise the children
+        whose table agrees with T where g matters are looked up by table,
+        probing only the tables that both agree and are some child's: one
+        AND of the parent's table bitmap with the agreeing tables' bitmap,
+        which each target builds once per mask m."""
+        level, groups = rows.level, rows.groups
         mask, ones, np = self.mask, rows.ones, rows.np
         lo_bytes, hi_bytes = rows._bytes
         depth_codes = [d << 8 for d in range(1, level)]
@@ -384,7 +389,7 @@ class _Searcher:
                             kid = kids[i, c] = self._child(p, c)
                         self._offer(level, kid, rows, r, target, found)
         root = self.nbase + level - 1
-        return {t: self._least_text(chains, root)
+        return {t: from_text(self._least_text(chains, root))
                 for t, (_, chains) in found.items()}
 
     def _offer(self, level, kid, rows, r, target, found):
@@ -399,12 +404,13 @@ class _Searcher:
         elif key == best[0]:
             best[1].append(chain)
 
-    def _grow(self, level, groups, rows):
-        """Every state grown by each gate of a function new to its chain
-        and of depth below max_levels (no gate could take it as an
-        operand); the first state per (table, depth) profile stands for
-        all of them.  Returns the next level's groups."""
-        depth_range = range(1, level + 1)
+    def _grow(self, rows):
+        """Every state of level rows grown by each gate of a function new
+        to its chain and of depth below max_levels (no gate could take it
+        as an operand); the first state per (table, depth) profile stands
+        for all of them.  Returns the next level's groups."""
+        groups = rows.groups
+        depth_range = range(1, rows.level + 1)
         # a row too deep for an operand makes code 0 (its keep lane is 0),
         # which no gate has, so it drops with the base candidates' codes
         base_codes = {0}.union([t | d << 8 for t in self.base_tables
@@ -459,16 +465,10 @@ class _Searcher:
         return out
 
     def run(self, targets: set[int]) -> dict[int, Network]:
-        solutions: dict[int, Network] = {}
-        unsolved = set(targets)
-
         # depth 0: constants and literals (their tables are all distinct)
-        for idx, t in enumerate(self.base_tables):
-            if t in unsolved:
-                solutions[t] = from_text(self._text((), idx))
-        unsolved -= solutions.keys()
-        if not unsolved:
-            return solutions
+        solutions = {t: from_text(self._text((), idx))
+                     for idx, t in enumerate(self.base_tables) if t in targets}
+        unsolved = set(targets).difference(solutions)
 
         # a gate solving an unsolved target at level k has all k chain
         # gates in its cone.  Else the cone's gates, in chain order, form a
@@ -489,17 +489,15 @@ class _Searcher:
         top = min(top, self.budget.max_gates)
 
         for level in range(1, top + 1):
-            best = self._scan(level, *self._level(level), unsolved)
-            for t, text in best.items():
-                solutions[t] = from_text(text)
-            unsolved -= best.keys()
             if not unsolved:
                 break
+            solutions.update(self._scan(self._level(level), unsolved))
+            unsolved.difference_update(solutions)
         return solutions
 
-    def _level(self, level: int) -> tuple[list, _Rows]:
-        """The groups and row table of a level, from _LEVELS, building
-        the levels up to it that no call has reached yet."""
+    def _level(self, level: int) -> _Rows:
+        """A level's _Rows, from _LEVELS, building the levels up to it
+        that no call has reached yet."""
         key = (self.n, self.budget.allow_maj5, self.budget.max_levels)
         with _LEVELS_LOCK:
             levels = _LEVELS.get(key)
@@ -510,10 +508,10 @@ class _Searcher:
                 k = len(levels) + 1
                 # states in groups of one parent's children, each child a
                 # code; level 1 has one state, the empty chain
-                groups = (self._grow(k - 1, *levels[-1]) if levels
+                groups = (self._grow(levels[-1]) if levels
                           else [(_Chain((), (), ()), {0: None})])
                 combos = self._combos(self.nbase + k - 1)
-                levels.append((groups, _Rows(self, combos, groups, k)))
+                levels.append(_Rows(self, combos, groups, k))
             return levels[level - 1]
 
 

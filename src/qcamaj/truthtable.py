@@ -166,8 +166,37 @@ def parse_minterm_spec(text: str) -> frozenset[int]:
         kept = [i for i, ch in enumerate(text) if not ch.isspace()]
         raise ParseError(f"bad minterm set {text!r}, expected sum(i,j,...)",
                          (kept + [len(text)])[end])
+    parts = stripped[4:-1].split(",")
+    if max(map(len, parts)) > _MAX_INDEX_DIGITS:
+        parts = _short_indices(text, parts)
     # the one empty part is the body of sum()
-    return frozenset(int(part) for part in stripped[4:-1].split(",") if part)
+    return frozenset(int(part) for part in parts if part)
+
+
+# no table has an index above 255, and 100 is well under 640, the least
+# limit sys.set_int_max_str_digits takes, so int() never meets its limit
+# and never spends quadratic time on a long digit string
+_MAX_INDEX_DIGITS = 100
+
+
+def _short_indices(text: str, parts: list[str]) -> list[str]:
+    """The parts of a well-formed set, leading zeros (in any script)
+    dropped from each that is longer than _MAX_INDEX_DIGITS.  Raises
+    ParseError at the first character of an index that is still longer."""
+    out, at = [], 4     # the offset of each part in text without spaces
+    for part in parts:
+        digits = part
+        if len(part) > _MAX_INDEX_DIGITS:
+            digits = part[next((k for k, ch in enumerate(part) if int(ch)),
+                               len(part)):] or "0"
+            if len(digits) > _MAX_INDEX_DIGITS:
+                kept = [i for i, ch in enumerate(text) if not ch.isspace()]
+                raise ParseError(
+                    f"minterm index of {len(digits)} digits, expected at "
+                    f"most {_MAX_INDEX_DIGITS}", kept[at])
+        out.append(digits)
+        at += len(part) + 1
+    return out
 
 
 def format_minterms(minterms: Iterable[int]) -> str:

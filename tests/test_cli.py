@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qcamaj.cli import RunReport, main, render_records
+from qcamaj.errors import ParseError
+from qcamaj.truthtable import parse_minterm_spec
 
 
 def run(capsys, *argv):
@@ -67,6 +69,42 @@ def test_parse_problems_exit_two(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+
+
+@pytest.fixture(params=["default", "unlimited"])
+def int_limit(request):
+    """Python's int string limit as the interpreter starts, then none."""
+    if request.param == "default":
+        yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int string limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("digits", [4301, 300_000])
+def test_an_over_long_minterm_index_is_a_short_parse_error(capsys, int_limit,
+                                                            digits):
+    # past Python's default limit, and where no limit makes int() quadratic
+    spec = "sum(1, " + "9" * digits + ")"
+    want = (f"minterm index of {digits} digits, expected at most 100 "
+            f"(at position 7)")
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_minterm_spec(spec)
+    assert (str(exc.value), exc.value.position) == (want, 7)
+    for argv in (["synth", spec], ["verify", "M(A,B,C)", spec]):
+        assert run(capsys, *argv) == (2, "", f"qcamaj: error: {want}\n")
+    assert time.perf_counter() - start < 1.0
+    # a short index out of range keeps its own error
+    code, _, err = run(capsys, "synth", "sum(1000)")
+    assert (code, err) == (2, "qcamaj: error: minterm 1000 out of range 0..7 "
+                              "for 3 variables\n")
 
 
 def test_deeply_nested_expression_verifies(capsys):

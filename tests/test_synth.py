@@ -327,9 +327,9 @@ def test_levels_are_built_once_per_key(monkeypatch):
     grow = _Searcher._grow
     grown = []
 
-    def counted(self, level, groups, rows):
-        grown.append(level)
-        return grow(self, level, groups, rows)
+    def counted(self, rows):
+        grown.append(rows.level)
+        return grow(self, rows)
 
     monkeypatch.setattr(_Searcher, "_grow", counted)
     monkeypatch.setattr(synth, "_LEVELS", {})
@@ -516,14 +516,15 @@ def test_cached_levels_hold_no_placeholder():
         synthesize(TruthTable.from_int(3, table), budget)
         [levels] = synth._LEVELS.values()
         assert len(levels) == depth
-        for groups, rows in levels:
+        for i, rows in enumerate(levels):
+            assert rows.level == i + 1
             assert None not in rows.lo + rows.hi + rows._bytes
-            assert kid_tables_match(groups, rows)
+            assert kid_tables_match(rows.groups, rows)
         # each child code is decoded apart from the search's own reads:
         # a group lists its codes in the order their rows first make them,
         # and the first of those rows gives the child's newest gate
-        for groups, _ in levels[1:]:
-            for p, codes in groups:
+        for rows in levels[1:]:
+            for p, codes in rows.groups:
                 lanes = [int.from_bytes(p.codes[k:k + 2], "little")
                          for k in range(0, len(p.codes), 2)]
                 assert list(codes) == sorted(codes, key=lanes.index)
@@ -531,18 +532,33 @@ def test_cached_levels_hold_no_placeholder():
                     assert _first_row(p.codes, c) == lanes.index(c)
         # every child's depths tuple has its rows' depths
         searcher = _Searcher(3, budget)
-        for groups, rows in levels:
-            for p, codes in groups:
+        for rows in levels:
+            for p, codes in rows.groups:
                 for c in codes:
                     assert searcher._child(p, c).depths in rows.depths
         # later calls scan the cached levels and leave their bitmaps and
         # depths be
         built = [(list(rows.kid_tables), dict(rows.depths))
-                 for _, rows in levels]
+                 for rows in levels]
         for t in BY_CLASS[budget].values():
             synthesize(TruthTable.from_int(3, t), budget)
         assert [(rows.kid_tables, rows.depths)
-                for _, rows in levels] == built
+                for rows in levels] == built
+
+
+def test_a_deeper_level_leaves_the_cached_ones_unwritten():
+    # a class-1 call builds level 1 only; a class-3 call after it grows
+    # levels 2 and 3 from it, and writes their codes to their own parents
+    budget = SearchBudget()
+    synth._LEVELS.clear()
+    synthesize(TruthTable.from_int(3, BY_CLASS[budget][1]), budget)
+    [levels] = synth._LEVELS.values()
+    [level_1] = levels
+    [(root, _)] = level_1.groups
+    synthesize(TruthTable.from_int(3, BY_CLASS[budget][3]), budget)
+    assert len(levels) == 3 and levels[0] is level_1
+    assert root.codes == b""
+    assert all(p is not root for p, _ in levels[1].groups)
 
 
 @given(st.tuples(*[st.integers(1, 3)] * 3))

@@ -118,6 +118,27 @@ def test_parse_error_points_at_the_first_bad_character(text, position):
     assert exc.value.position == position
 
 
+def test_leading_zeros_do_not_count_toward_an_index_length():
+    # in any script, and however many; 100 significant digits are the most
+    zeros = "0" * 200
+    assert parse_minterm_spec(f"sum({zeros}1)") == frozenset({1})
+    assert parse_minterm_spec(f"sum(3,{zeros})") == frozenset({0, 3})
+    assert parse_minterm_spec("sum(" + "\u0660" * 300 + "\u0663)") == {3}
+    assert parse_minterm_spec("sum(" + "0" * 5000 + "7)") == {7}
+    assert parse_minterm_spec(f"sum({zeros}{'9' * 100})") == {10 ** 100 - 1}
+
+
+@pytest.mark.parametrize("text, position", [
+    ("sum(" + "9" * 101 + ")", 4),
+    ("sum(1, " + "0" * 50 + "1" * 101 + ")", 7),
+    ("sum(" + "0" * 120 + ", " + "\u0661" * 101 + ")", 126),
+])
+def test_an_index_past_100_significant_digits_is_a_parse_error(text, position):
+    with pytest.raises(ParseError, match="index of 101 digits") as exc:
+        parse_minterm_spec(text)
+    assert exc.value.position == position
+
+
 # the keyword in both cases, symbols, digits, a letter, a non-ASCII digit
 # and whitespace
 SPEC_PIECES = list("sumSUM(),019x") + ["\u0663", " ", "\t", "\n"]

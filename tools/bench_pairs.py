@@ -15,9 +15,10 @@ both sides' median of the runs' p50, measured and scaled by each run's
 calibration, and the pairs the change won; and, per end-to-end metric,
 both sides' medians and quartiles, the median relative loss beside the
 metric's bound, the number of pairs the change won, whether every change run
-beat every parent run, and how many parent interquartile ranges the
-medians lie apart; then every run's metrics and the lines of its
-report.
+beat every parent run, and the parent's interquartile range and how many
+of them the medians lie apart (`pair_stats`, which
+`tools/layer_pairs.py` shares); then every run's metrics and the lines
+of its report.
 
 Before the first run both trees' bytecode caches are brought up to
 date.  perfbench/run.py times fresh imports for `setup_s`; with
@@ -110,6 +111,39 @@ def tag_medians(runs: list[dict]) -> dict:
     return tags
 
 
+def pair_stats(pairs: list[tuple[float, float]], better: str = "lower"
+               ) -> dict:
+    """Both sides' medians and quartiles over (parent, change) pairs of
+    one metric, the median loss, the pairs the change won, whether every
+    change run beat every parent run, and the parent's IQR with the
+    medians' gap in it.  `better` is "lower" or "higher"."""
+    sign = 1 if better == "lower" else -1
+    parent = [p for p, _ in pairs]
+    change = [c for _, c in pairs]
+    q_parent = statistics.quantiles(parent, n=4)
+    q_change = statistics.quantiles(change, n=4)
+    won = sum(sign * c < sign * p for p, c in pairs)
+    iqr = q_parent[2] - q_parent[0]
+    m_parent = statistics.median(parent)
+    m_change = statistics.median(change)
+    gap = sign * (m_parent - m_change)
+    return {
+        "parent_median": m_parent,
+        "change_median": m_change,
+        # the median loss (negative: a gain) as a share of the parent's
+        # median
+        "median_loss": -gap / m_parent if m_parent else None,
+        "parent_quartiles": [q_parent[0], q_parent[2]],
+        "change_quartiles": [q_change[0], q_change[2]],
+        "parent_iqr": iqr,
+        "change_better_in_pairs": f"{won} of {len(pairs)}",
+        "every_change_run_better":
+            max(sign * v for v in change) < min(sign * v for v in parent),
+        # the median gain (negative: a loss) in parent IQRs
+        "gain_in_parent_iqrs": gap / iqr if iqr else None,
+    }
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -124,33 +158,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "tags_p50_ms": tag_medians(mine)}
         for metric in metrics:
             name = metric["name"]
-            sign = 1 if metric["better"] == "lower" else -1
-            parent = [p["parent"][name] for p in pairs.values()]
-            change = [p["change"][name] for p in pairs.values()]
-            q_parent = statistics.quantiles(parent, n=4)
-            q_change = statistics.quantiles(change, n=4)
-            won = sum(sign * p["change"][name] < sign * p["parent"][name]
-                      for p in pairs.values())
-            iqr = q_parent[2] - q_parent[0]
-            m_parent = statistics.median(parent)
-            m_change = statistics.median(change)
-            gap = sign * (m_parent - m_change)
-            rows[name] = {
-                "parent_median": m_parent,
-                "change_median": m_change,
-                # the median loss (negative: a gain) as a share of the
-                # parent's median, beside the bound BENCHMARK.json sets it
-                "median_loss": -gap / m_parent if m_parent else None,
-                "bound": metric["bound"],
-                "parent_quartiles": [q_parent[0], q_parent[2]],
-                "change_quartiles": [q_change[0], q_change[2]],
-                "change_better_in_pairs": f"{won} of {len(pairs)}",
-                "every_change_run_better":
-                    max(sign * v for v in change)
-                    < min(sign * v for v in parent),
-                # the median gain (negative: a loss) in parent IQRs
-                "gain_in_parent_iqrs": gap / iqr if iqr else None,
-            }
+            # the median loss beside the bound BENCHMARK.json sets it
+            rows[name] = {"bound": metric["bound"], **pair_stats(
+                [(p["parent"][name], p["change"][name])
+                 for p in pairs.values()], metric["better"])}
     return summary
 
 
