@@ -4,6 +4,8 @@ Exit codes: 0 success (and equivalent, where a verdict is the point),
 1 non-equivalent or not found, 2 usage or parse problems (including
 non-finite sim parameters and --order names that are not variable
 names), 3 simulation failures (no convergence, undecided readout).
+An error message over 300 characters is cut to its head and its tail,
+so that text copied from the input cannot make it long.
 
 Both output modes carry the same data.  Text mode prints aligned
 summaries; records mode prints shell-quoted key=value lines, one line
@@ -13,6 +15,7 @@ per record, for scripting.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import re
 import shlex
@@ -230,8 +233,30 @@ def cmd_sim(args) -> tuple[RunReport, int]:
     return report, 0
 
 
+# the most characters of one error message main writes; longer ones keep
+# their head and their tail, which holds "(at position N)" where there is one
+_MAX_ERROR_CHARS = 300
+
+
+def _bounded(message: str) -> str:
+    """message, or its head and tail when it is over _MAX_ERROR_CHARS."""
+    if len(message) <= _MAX_ERROR_CHARS:
+        return message
+    keep = (_MAX_ERROR_CHARS - 5) // 2
+    return f"{message[:keep]} ... {message[-keep:]}"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error lines are bounded as main's are; its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        super().error(_bounded(message))
+
+
+@functools.cache    # built on first use, so import stays cheap
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcamaj",
         description="Majority-logic synthesis, verification, and cell-level "
                     "simulation toolkit.",
@@ -308,22 +333,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:     # built on first use, so import stays cheap
-        _parser = _build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     start = time.perf_counter()
     try:
         report, code = args.func(args)
     except ValueError as e:     # every usage and parse error type
-        print(f"qcamaj: error: {e}", file=sys.stderr)
+        print(f"qcamaj: error: {_bounded(str(e))}", file=sys.stderr)
         return 2
     except (ConvergenceError, UndecidedError) as e:
         print(f"qcamaj: simulation failed: {e}", file=sys.stderr)

@@ -58,35 +58,38 @@ class Network:
     output: int
 
     def __post_init__(self):
-        if self.n_vars < 1:
-            raise ValueError(f"n_vars must be positive, got {self.n_vars}")
+        _check_n_vars(self.n_vars)
         if not 0 <= self.output < len(self.nodes):
             raise ValueError(f"output id {self.output} out of range")
         for i, (kind, args) in enumerate(self.nodes):
-            if kind not in _ARITY:
-                raise ValueError(f"node {i}: unknown kind {kind!r}")
-            if len(args) != _ARITY[kind]:
-                raise ValueError(
-                    f"node {i}: kind {kind} takes {_ARITY[kind]} "
-                    f"arguments, got {len(args)}"
-                )
-            if kind == INPUT:
-                if not 0 <= args[0] < self.n_vars:
-                    raise ValueError(
-                        f"node {i}: variable index {args[0]} out of "
-                        f"range for {self.n_vars} inputs"
-                    )
-            elif kind == CONST:
-                if args[0] not in (0, 1):
-                    raise ValueError(
-                        f"node {i}: constant must be 0 or 1, got {args[0]}"
-                    )
-            else:
-                for c in args:
-                    if not 0 <= c < i:
-                        raise ValueError(
-                            f"node {i}: child {c} does not precede the node"
-                        )
+            _check_node(i, kind, args, self.n_vars)
+
+
+def _check_n_vars(n_vars: int) -> None:
+    if n_vars < 1:
+        raise ValueError(f"n_vars must be positive, got {n_vars}")
+
+
+def _check_node(i: int, kind: str, args: tuple[int, ...], n_vars: int) -> None:
+    """The rule for node i of a network with n_vars inputs."""
+    if kind not in _ARITY:
+        raise ValueError(f"node {i}: unknown kind {kind!r}")
+    if len(args) != _ARITY[kind]:
+        raise ValueError(f"node {i}: kind {kind} takes {_ARITY[kind]} "
+                         f"arguments, got {len(args)}")
+    if kind == INPUT:
+        if not 0 <= args[0] < n_vars:
+            raise ValueError(f"node {i}: variable index {args[0]} out of "
+                             f"range for {n_vars} inputs")
+    elif kind == CONST:
+        if args[0] not in (0, 1):
+            raise ValueError(f"node {i}: constant must be 0 or 1, "
+                             f"got {args[0]}")
+    else:
+        for c in args:
+            if not 0 <= c < i:
+                raise ValueError(f"node {i}: child {c} does not precede "
+                                 f"the node")
 
 
 class NetworkBuilder:
@@ -96,11 +99,12 @@ class NetworkBuilder:
     the node pool, which is how multi-output designs share subterms.
     The pool is one dict from node to id: a Node is its (kind, args)
     tuple, so a lookup hashes in C, and insertion order is id order.
+    Each new node is checked with Network's own rule, so a bad node
+    raises the same message from either.
     """
 
     def __init__(self, n_vars: int):
-        if n_vars < 1:
-            raise ValueError(f"n_vars must be positive, got {n_vars}")
+        _check_n_vars(n_vars)
         self.n_vars = n_vars
         self._nodes: dict[Node, int] = {}
 
@@ -108,22 +112,14 @@ class NetworkBuilder:
         found = self._nodes.get((kind, args))
         if found is not None:
             return found
-        for c in args if kind not in (INPUT, CONST) else ():
-            if not 0 <= c < len(self._nodes):
-                raise ValueError(f"child id {c} is not a known node")
+        _check_node(len(self._nodes), kind, args, self.n_vars)
         self._nodes[Node(kind, args)] = found = len(self._nodes)
         return found
 
     def input(self, var: int) -> int:
-        if not 0 <= var < self.n_vars:
-            raise ValueError(
-                f"variable index {var} out of range for {self.n_vars} inputs"
-            )
         return self._intern(INPUT, (var,))
 
     def const(self, value: int) -> int:
-        if value not in (0, 1):
-            raise ValueError(f"constant must be 0 or 1, got {value}")
         return self._intern(CONST, (value,))
 
     def invert(self, child: int) -> int:

@@ -9,7 +9,8 @@ import time
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qcamaj.cli import RunReport, main, render_records
+from qcamaj.cli import (_MAX_ERROR_CHARS, RunReport, _bounded, main,
+                        render_records)
 from qcamaj.errors import ParseError
 from qcamaj.truthtable import parse_minterm_spec
 
@@ -321,3 +322,40 @@ def test_names_the_grammar_cannot_read_back_exit_two_before_any_work(capsys):
     code, _, _ = run(capsys, "synth", "sum(1,6)", "--order", "0,B,C")
     assert code == 2
     assert time.perf_counter() - start < 1.0
+
+
+_LONG = 300_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "sum(" + "9" * _LONG + "x)"],                # bad minterm set
+    ["verify", "M(A,B," + "C" * _LONG + ")", "sum(1)"],    # unknown variable
+    ["verify", "M(A,B," + "2" * _LONG + ")", "sum(1)"],    # digit run
+    ["verify", "X" * _LONG + "(A,B,C)", "sum(1)"],         # unknown gate
+    ["synth", "sum(1)", "--order", "A,B," + "!" * _LONG],  # bad name
+    ["synth", "sum(1)", "--order", ",".join(["A"] * 100_000)],  # duplicates
+    ["sim", "maj3", "1" * _LONG],                          # driver bits
+    ["sim", "x" * _LONG, "1"],                             # argparse: gate
+    ["synth", "sum(1)", "--max-gates", "x" * _LONG],       # argparse: int
+    ["adders", "--format", "x" * _LONG],                   # argparse: choice
+], ids=["minterm set", "variable", "constant", "gate", "order name",
+        "order duplicates", "sim bits", "sim gate", "max-gates", "format"])
+def test_an_error_about_long_input_stays_short(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1024
+    assert "error: " in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_long_error_keeps_its_head_and_its_tail():
+    assert _MAX_ERROR_CHARS >= 200
+    short = "x" * _MAX_ERROR_CHARS
+    assert _bounded(short) is short
+    long = "unknown variable 'CCCC" + "C" * _LONG + "' (at position 6)"
+    cut = _bounded(long)
+    assert len(cut) <= _MAX_ERROR_CHARS
+    assert cut.startswith("unknown variable 'CCCC")
+    assert cut.endswith("' (at position 6)")
+    assert " ... " in cut

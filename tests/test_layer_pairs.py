@@ -1,6 +1,7 @@
 """tools/layer_pairs on synthetic timings: nothing is timed."""
 
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,34 @@ def test_higher_is_better_turns_the_comparison():
     assert stats["median_loss"] == 0.0
     assert stats["gain_in_parent_iqrs"] == 0.0
 
+
+
+def test_a_batch_holds_calls_for_about_batch_ms():
+    assert layer_pairs.BATCH_MS == 20.0
+    # a call of BATCH_MS or more is a batch on its own
+    assert layer_pairs.calls_for(250.0) == 1
+    assert layer_pairs.calls_for(20.0) == 1
+    # a shorter one repeats until the batch reaches BATCH_MS
+    assert layer_pairs.calls_for(19.9) == 2
+    assert layer_pairs.calls_for(5.0) == 4
+    assert layer_pairs.calls_for(0.3) == 67
+    # a call too quick to read runs the most calls a batch holds
+    assert layer_pairs.calls_for(1e-6) == layer_pairs.MAX_CALLS
+    assert layer_pairs.calls_for(0.0) == layer_pairs.MAX_CALLS
+
+
+def test_a_cold_batch_clears_the_cache_before_each_call():
+    levels = {}
+    q = types.SimpleNamespace(synth=types.SimpleNamespace(_LEVELS=levels))
+    seen = []
+
+    def call():
+        seen.append(len(levels))
+        levels[len(levels)] = "level"
+
+    assert layer_pairs.time_batch(q, False, call, 3) >= 0.0
+    assert seen == [0, 0, 0]
+    # a warm batch makes one untimed call first and clears nothing
+    seen.clear()
+    layer_pairs.time_batch(q, True, call, 3)
+    assert seen == [1, 2, 3, 4]

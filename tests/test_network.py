@@ -115,6 +115,37 @@ def test_network_validates_structure():
         Network(1, (Node("const", (2,)),), 0)  # constant not 0 or 1
 
 
+def _maj3_over_two_inputs(c):
+    b = NetworkBuilder(2)
+    return b.maj3(b.input(0), b.input(1), c)
+
+
+@pytest.mark.parametrize("build, direct, message", [
+    (lambda: NetworkBuilder(2).input(2),
+     lambda: Network(2, (Node("input", (2,)),), 0),
+     "node 0: variable index 2 out of range for 2 inputs"),
+    (lambda: NetworkBuilder(2).const(2),
+     lambda: Network(2, (Node("const", (2,)),), 0),
+     "node 0: constant must be 0 or 1, got 2"),
+    (lambda: _maj3_over_two_inputs(99),
+     lambda: Network(2, (Node("input", (0,)), Node("input", (1,)),
+                         Node("maj3", (0, 1, 99))), 2),
+     "node 2: child 99 does not precede the node"),
+    (lambda: NetworkBuilder(1).invert(-1),
+     lambda: Network(1, (Node("not", (-1,)),), 0),
+     "node 0: child -1 does not precede the node"),
+    (lambda: NetworkBuilder(0),
+     lambda: Network(0, (Node("const", (0,)),), 0),
+     "n_vars must be positive, got 0"),
+], ids=["input 2 of 2", "const 2", "child 99", "not -1", "n_vars 0"])
+def test_builder_and_network_reject_a_bad_node_in_the_same_words(
+        build, direct, message):
+    for make in (build, direct):
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value) == message
+
+
 def test_cost_census_counts_shared_nodes_once():
     report = cost(parse_expr("M(M(A,B,0),C,0)", NAMES))
     assert (report.maj3_count, report.maj5_count, report.inverter_count,

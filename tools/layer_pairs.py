@@ -6,22 +6,34 @@
 `--parent` is a checkout of the commit to compare against (made with
 `git clone` or `git archive`); the other side is the checkout this
 script sits in.  Each tree's `qcamaj` is imported under its own package
-name, so each side keeps its own level cache (`synth._LEVELS`).  Every
-round times each case once per side, one call each; odd rounds run the
-parent first, even rounds the change.  A cold case clears its side's
-level cache first, and a warm case makes its call once untimed.  The
-cases:
+name, so each side keeps its own level cache (`synth._LEVELS`).
+
+Every round times a batch of k calls of each case on each side; odd
+rounds run the parent first, even rounds the change.  k is set once per
+case, before the rounds, from one untimed first call on each side:
+enough calls for about BATCH_MS of the slower side (`calls_for`), the
+same k for both.  Each call is timed on its own, and a batch reads the
+mean.  A cold case clears its side's level cache before each call,
+outside the timed span; a warm case makes its call once, untimed,
+before each batch.  The cases:
 
 - `synthesize` on table 66, warm and cold, and on table 24, warm;
 - table 180 under `SearchBudget(5, 5, False)`, cold;
 - the default atlas (`synthesize_all_3var`), cold;
 - `cli.main` on `synth "sum(1,6)" --format records`, warm, and on
-  `sim wire 1 --length 1000 --format records`, output discarded.
+  `sim wire 1 --length 1000 --format records`, output discarded;
+- `CellGrid` on the cells of wires of 1,000, 512 and 64 cells and of the
+  inverter, maj3 and maj5 gates, and `relax` on the 1,000-cell wire;
+- `render_records` on the reports of the default atlas, `audit-tables`
+  and `sim wire 1 --length 1000`;
+- `verify` at 3 and 8 variables: `parse_expr`, then `verify` against
+  the expression's own table, as the `verify` command does.
 
-The output JSON holds, per case, both sides' medians and quartiles in
-ms, the rounds the change won, the parent's IQR and the medians' gap in
-it (the summary `tools/bench_pairs.py` gives each end-to-end metric),
-then every round's times.  Stdlib only; a round takes about 1 s.
+The output JSON holds each case's k, then per case both sides' medians
+and quartiles in ms per call, the rounds the change won, the parent's
+IQR and the medians' gap in it (the summary `tools/bench_pairs.py`
+gives each end-to-end metric), then every round's ms per call.  Stdlib
+only; a round takes about 2 s.
 """
 
 import argparse
@@ -31,6 +43,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import platform
 import sys
 import time
@@ -41,6 +54,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import pair_stats  # noqa: E402
 
 CHANGE = Path(__file__).resolve().parent.parent
+
+# a batch runs calls for about this many ms, and at most MAX_CALLS calls
+BATCH_MS = 20.0
+MAX_CALLS = 10_000
 
 
 def load_tree(tree: Path, name: str):
@@ -57,13 +74,38 @@ def load_tree(tree: Path, name: str):
 
 def cases(q) -> dict:
     """Case name -> (warm, call) on package q; a cold case (warm False)
-    clears the level cache before its call."""
+    clears the level cache before each call."""
     synth, table = q.synth, q.truthtable.TruthTable.from_int
+    cellsim, render = q.cellsim, q.cli.render_records
 
     def cli(*argv):
         with contextlib.redirect_stdout(io.StringIO()):
             return q.cli.main([*argv, "--format", "records"])
 
+    def report(*argv):
+        args = q.cli._build_parser().parse_args(argv)
+        return args.func(args)[0]
+
+    def verify(text, names):
+        spec = q.network.truth_table(q.expr.parse_expr(text, names))
+        return lambda: q.network.verify(q.expr.parse_expr(text, names),
+                                        spec, names)
+
+    # 8 variables: a chain of 64 maj3 gates, each over the one before,
+    # a variable and another variable inverted
+    text8 = "A"
+    for k in range(1, 65):
+        text8 = f"M({text8},{'ABCDEFGH'[k % 8]},{'ABCDEFGH'[(k + 3) % 8]}')"
+    grids = {"wire 1000": cellsim.build_wire(1000, 1.0),
+             "wire 512": cellsim.build_wire(512, 1.0),
+             "wire 64": cellsim.build_wire(64, 1.0),
+             "inverter": cellsim.build_inverter(1.0),
+             "maj3": cellsim.build_maj3(1.0, -1.0, 1.0),
+             "maj5": cellsim.build_maj5(1.0, -1.0, 1.0, -1.0, 1.0)}
+    reports = {"atlas": report("atlas"),
+               "audit-tables": report("audit-tables"),
+               "sim wire 1000": report("sim", "wire", "1", "--length",
+                                       "1000")}
     return {
         "synth 66 warm": (True, lambda: synth.synthesize(table(3, 66))),
         "synth 66 cold": (False, lambda: synth.synthesize(table(3, 66))),
@@ -74,19 +116,38 @@ def cases(q) -> dict:
         "cli synth sum(1,6)": (True, lambda: cli("synth", "sum(1,6)")),
         "cli sim wire 1 --length 1000": (
             True, lambda: cli("sim", "wire", "1", "--length", "1000")),
+        **{f"CellGrid {name}": (True, lambda g=g: cellsim.CellGrid(g.cells))
+           for name, g in grids.items()},
+        "relax wire 1000": (True, lambda: cellsim.relax(grids["wire 1000"])),
+        **{f"render_records {name}": (True, lambda r=r: render(r))
+           for name, r in reports.items()},
+        "verify 3 vars": (True, verify("M5(M(A,B,C)',M5(A,A,B,C,1),A,B,C)",
+                                       list("ABC"))),
+        "verify 8 vars": (True, verify(text8, list("ABCDEFGH"))),
     }
 
 
-def time_case(q, warm: bool, call) -> float:
-    """One timed call in ms, after its warm-up or its cache clear."""
+def calls_for(first_ms: float) -> int:
+    """Calls in a batch of about BATCH_MS, given one call's ms."""
+    if first_ms <= 0:
+        return MAX_CALLS
+    return max(1, min(MAX_CALLS, math.ceil(BATCH_MS / first_ms)))
+
+
+def time_batch(q, warm: bool, call, k: int) -> float:
+    """Mean ms per call over k timed calls, after the warm-up call or
+    with the level cache cleared before each call."""
     if warm:
         call()
-    else:
-        q.synth._LEVELS.clear()
     gc.collect()
-    start = time.perf_counter()
-    call()
-    return (time.perf_counter() - start) * 1000.0
+    total = 0.0
+    for _ in range(k):
+        if not warm:
+            q.synth._LEVELS.clear()
+        start = time.perf_counter()
+        call()
+        total += time.perf_counter() - start
+    return total * 1000.0 / k
 
 
 def summarize(times: dict) -> dict:
@@ -107,22 +168,30 @@ def main(argv=None):
     sides = {"parent": load_tree(args.parent.resolve(), "qcamaj_parent"),
              "change": load_tree(CHANGE, "qcamaj_change")}
     plans = {side: cases(q) for side, q in sides.items()}
-    times = {case: [] for case in plans["change"]}
-    for k in range(1, args.rounds + 1):
-        order = ("parent", "change") if k % 2 else ("change", "parent")
+    calls = {case: calls_for(max(time_batch(q, *plans[side][case], 1)
+                                 for side, q in sides.items()))
+             for case in plans["change"]}
+    print("calls per batch: " + ", ".join(
+        f"{case} {k}" for case, k in calls.items()), flush=True)
+    times = {case: [] for case in calls}
+    for n in range(1, args.rounds + 1):
+        order = ("parent", "change") if n % 2 else ("change", "parent")
         for case, rounds in times.items():
-            ms = {side: time_case(sides[side], *plans[side][case])
+            ms = {side: time_batch(sides[side], *plans[side][case],
+                                   calls[case])
                   for side in order}
             rounds.append(ms)
-        print(f"round {k}: " + ", ".join(
+        print(f"round {n}: " + ", ".join(
             f"{case} {r[-1]['parent']:.2f}/{r[-1]['change']:.2f}"
             for case, r in times.items()), flush=True)
     report = {
         "what": f"in-process ms per call of the parent checkout and of "
-                f"this change, {args.rounds} rounds; odd rounds ran the "
-                f"parent first, even rounds the change",
+                f"this change, {args.rounds} rounds of one batch of "
+                f"calls_per_batch calls per case and side; odd rounds ran "
+                f"the parent first, even rounds the change",
         "host": f"Python {platform.python_version()}, "
                 f"{platform.platform()}; both trees in one process",
+        "calls_per_batch": calls,
         "summary": summarize(times),
         "rounds": times,
     }
