@@ -59,8 +59,7 @@ class Network:
 
     def __post_init__(self):
         _check_n_vars(self.n_vars)
-        if not 0 <= self.output < len(self.nodes):
-            raise ValueError(f"output id {self.output} out of range")
+        _check_output(self.output, self.nodes)
         for i, (kind, args) in enumerate(self.nodes):
             _check_node(i, kind, args, self.n_vars)
 
@@ -68,6 +67,11 @@ class Network:
 def _check_n_vars(n_vars: int) -> None:
     if n_vars < 1:
         raise ValueError(f"n_vars must be positive, got {n_vars}")
+
+
+def _check_output(output: int, nodes: tuple[Node, ...]) -> None:
+    if not 0 <= output < len(nodes):
+        raise ValueError(f"output id {output} out of range")
 
 
 def _check_node(i: int, kind: str, args: tuple[int, ...], n_vars: int) -> None:
@@ -100,7 +104,8 @@ class NetworkBuilder:
     The pool is one dict from node to id: a Node is its (kind, args)
     tuple, so a lookup hashes in C, and insertion order is id order.
     Each new node is checked with Network's own rule, so a bad node
-    raises the same message from either.
+    raises the same message from either, and build() does not check
+    the pool's nodes again.
     """
 
     def __init__(self, n_vars: int):
@@ -132,7 +137,15 @@ class NetworkBuilder:
         return self._intern(MAJ5, (a, b, c, d, e))
 
     def build(self, output: int) -> Network:
-        return Network(self.n_vars, tuple(self._nodes), output)
+        nodes = tuple(self._nodes)
+        _check_output(output, nodes)
+        # the fields Network(...) would set, without __post_init__'s
+        # second pass of _check_node over nodes _intern has checked
+        net = object.__new__(Network)
+        object.__setattr__(net, "n_vars", self.n_vars)
+        object.__setattr__(net, "nodes", nodes)
+        object.__setattr__(net, "output", output)
+        return net
 
 
 def _output_int(net: Network, inputs, mask: int) -> int:

@@ -1,7 +1,10 @@
 """Expression text parsing and its agreement with an independent evaluator."""
 
 import itertools
+import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -181,6 +184,68 @@ def test_parser_agrees_with_the_former_parser(text, names):
         parse(b, f"M({names[0]},{names[1]},0)'", names)
         results.append((outcome(parse, b, text, names), b._nodes))
     assert results[0] == results[1]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def random_expression(monkeypatch):
+    """perfbench/workloads.random_expression, which writes the texts of
+    the benchmark's verify requests."""
+    # the benchmark's modules import each other by bare name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    own = {p.stem for p in PERFBENCH.glob("*.py")}
+    before = set(sys.modules)
+    import workloads
+    yield workloads.random_expression
+    for name in (set(sys.modules) - before) & own:
+        del sys.modules[name]
+
+
+def one_character_mutations(rng, text, names):
+    """Seeded one-character edits of `text`: a character deleted, "#",
+    a space or a no-break space inserted, a name swapped for an
+    undeclared one, a ")" doubled, and a "(" put after a name that may
+    have been read before."""
+    def at():
+        return rng.randrange(len(text) + 1)
+
+    i = at()
+    yield text[:i] + text[i + 1:]
+    for ch in "# \u00a0":
+        i = at()
+        yield text[:i] + ch + text[i:]
+    i = text.index(rng.choice(names))
+    yield text[:i] + "Z" + text[i + 1:]
+    i = rng.choice([k for k, ch in enumerate(text) if ch == ")"])
+    yield text[:i] + ")" + text[i:]
+    i = rng.choice([k for k, ch in enumerate(text) if ch in names]) + 1
+    yield text[:i] + "(" + text[i:]
+
+
+def test_parser_agrees_with_the_former_parser_on_workload_texts(
+        random_expression):
+    rng = random.Random(27)
+    for n, gates in [(5, 20), (6, 60), (7, 150), (8, 320)]:
+        names = "ABCDEFGH"[:n]
+        for share in (0.0, 0.3):
+            text = random_expression(rng, names, gates, share)
+            for case in [text, *one_character_mutations(rng, text, names)]:
+                try:
+                    got = to_text(parse_expr(case, names))
+                except ParseError as e:
+                    got = type(e), str(e), e.position
+                assert got == outcome(_oracles.parse_reference,
+                                      NetworkBuilder(n), case, names)
+                # into a pool that holds nodes already
+                results = []
+                for parse in (parse_into, _oracles.parse_reference):
+                    b = NetworkBuilder(n)
+                    parse(b, "M(B',M(A,C,1),E)'", names)
+                    results.append((outcome(parse, b, case, names),
+                                    b._nodes))
+                assert results[0] == results[1]
 
 
 # each gate level adds at least two leaves, so 11 leaves nest gates at

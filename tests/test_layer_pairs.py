@@ -1,6 +1,7 @@
 """tools/layer_pairs on synthetic timings: nothing is timed."""
 
 import importlib.util
+import sys
 import types
 from pathlib import Path
 
@@ -40,6 +41,29 @@ def test_summarize_gives_each_case_its_medians_wins_and_parent_iqr():
     assert cold["gain_in_parent_iqrs"] == pytest.approx(-0.4)
 
 
+def test_round_ratios_do_not_carry_the_drift_between_rounds():
+    # the host slows threefold over the rounds; within a round each side
+    # reads within 2% of the other
+    drift = [1.0, 1.4, 1.9, 2.5, 3.0, 2.2, 1.2]
+    noise = [1.02, 0.98, 1.0, 1.01, 0.99, 1.02, 0.98]
+    times = {
+        "self-pair": [{"parent": 10.0 * d, "change": 10.0 * d * e}
+                      for d, e in zip(drift, noise)],
+        "halved": [{"parent": 10.0 * d, "change": 5.0 * d} for d in drift],
+    }
+    summary = layer_pairs.summarize(times)
+    same = summary["self-pair"]
+    # the parent's IQR holds the drift: more than half its median
+    assert same["parent_iqr"] > 0.5 * same["parent_median"]
+    # the ratios' quartiles hold 1.0 and lie within 2% of it
+    low, high = same["ratio_quartiles"]
+    assert 0.98 <= low <= 1.0 <= high <= 1.02
+    assert same["ratio_median"] == 1.0
+    halved = summary["halved"]
+    assert halved["ratio_median"] == 0.5
+    assert halved["ratio_quartiles"] == [0.5, 0.5]
+
+
 def test_higher_is_better_turns_the_comparison():
     stats = layer_pairs.pair_stats([(1.0, 2.0), (2.0, 3.0), (3.0, 1.0)],
                                    "higher")
@@ -61,6 +85,21 @@ def test_a_batch_holds_calls_for_about_batch_ms():
     # a call too quick to read runs the most calls a batch holds
     assert layer_pairs.calls_for(1e-6) == layer_pairs.MAX_CALLS
     assert layer_pairs.calls_for(0.0) == layer_pairs.MAX_CALLS
+
+
+def test_the_parse_case_reads_one_check_requests_rounds_verify_texts(
+        monkeypatch):
+    # check_texts puts perfbench/ on the path and imports its modules by
+    # bare name; both are undone after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    texts = layer_pairs.check_texts()
+    for name in (set(sys.modules) - before) & {"workloads", "reference"}:
+        del sys.modules[name]
+    # one text per stratum: 5 to 8 names, three gate-count ranges
+    assert len(texts) == 12
+    assert sorted({len(names) for _, names in texts}) == [5, 6, 7, 8]
+    assert all(text.startswith("M") for text, _ in texts)
 
 
 def test_a_cold_batch_clears_the_cache_before_each_call():

@@ -305,6 +305,27 @@ def test_random_network_text_round_trip(net):
     assert from_text(to_text(net)) == net
 
 
+@given(random_networks())
+def test_a_built_network_is_the_network_of_its_fields(net):
+    # build() hands over a pool whose nodes _intern has checked, without
+    # Network's own pass over them
+    direct = Network(net.n_vars, net.nodes, net.output)
+    assert type(net) is Network
+    assert (net, hash(net), repr(net)) == (direct, hash(direct), repr(direct))
+
+
+def test_build_checks_the_output_in_network_words():
+    b = NetworkBuilder(1)
+    b.input(0)
+    for out in (1, -1):
+        with pytest.raises(ValueError) as built:
+            b.build(out)
+        with pytest.raises(ValueError) as direct:
+            Network(1, (Node("input", (0,)),), out)
+        assert (str(built.value) == str(direct.value)
+                == f"output id {out} out of range")
+
+
 # header and footer words, every node kind and a bad one, small and
 # negative ints, an underscored int, a non-ASCII digit and a huge number
 TEXT_TOKENS = ["network", "output", "input", "const", "not", "maj3", "maj5",

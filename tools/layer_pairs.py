@@ -27,13 +27,19 @@ before each batch.  The cases:
 - `render_records` on the reports of the default atlas, `audit-tables`
   and `sim wire 1 --length 1000`;
 - `verify` at 3 and 8 variables: `parse_expr`, then `verify` against
-  the expression's own table, as the `verify` command does.
+  the expression's own table, as the `verify` command does;
+- `parse_expr` on the 12 `verify` texts of round CHECK_ROUND of the
+  check-requests workload under seed CHECK_SEED (`perfbench/workloads`),
+  which share subterms and spell them out as the benchmark's do.
 
 The output JSON holds each case's k, then per case both sides' medians
 and quartiles in ms per call, the rounds the change won, the parent's
 IQR and the medians' gap in it (the summary `tools/bench_pairs.py`
-gives each end-to-end metric), then every round's ms per call.  Stdlib
-only; a round takes about 2 s.
+gives each end-to-end metric), and the median and quartiles of each
+round's change/parent ratio, then every round's ms per call.  The two
+sides of a round run seconds apart, so the ratio does not carry the
+host's drift between rounds, which the parent's IQR does.  Stdlib only;
+a round takes about 2 s.
 """
 
 import argparse
@@ -45,6 +51,7 @@ import io
 import json
 import math
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -54,6 +61,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import pair_stats  # noqa: E402
 
 CHANGE = Path(__file__).resolve().parent.parent
+
+# the check-requests round whose verify texts the parse case reads
+CHECK_SEED, CHECK_ROUND = 1, 0
 
 # a batch runs calls for about this many ms, and at most MAX_CALLS calls
 BATCH_MS = 20.0
@@ -72,9 +82,20 @@ def load_tree(tree: Path, name: str):
     return package
 
 
-def cases(q) -> dict:
-    """Case name -> (warm, call) on package q; a cold case (warm False)
-    clears the level cache before each call."""
+def check_texts() -> list[tuple[str, list[str]]]:
+    """(text, names) of each verify request of one check-requests
+    round."""
+    sys.path.insert(0, str(CHANGE / "perfbench"))
+    import workloads
+    plan = workloads.CheckPlan(CHECK_SEED, None)
+    return [(r.argv[1], r.argv[4].split(","))
+            for r in plan.round(CHECK_ROUND) if r.kind == "verify"]
+
+
+def cases(q, texts) -> dict:
+    """Case name -> (warm, call) on package q, `texts` being
+    check_texts(); a cold case (warm False) clears the level cache
+    before each call."""
     synth, table = q.synth, q.truthtable.TruthTable.from_int
     cellsim, render = q.cellsim, q.cli.render_records
 
@@ -124,6 +145,8 @@ def cases(q) -> dict:
         "verify 3 vars": (True, verify("M5(M(A,B,C)',M5(A,A,B,C,1),A,B,C)",
                                        list("ABC"))),
         "verify 8 vars": (True, verify(text8, list("ABCDEFGH"))),
+        "parse_expr check-requests": (True, lambda: [
+            q.expr.parse_expr(text, names) for text, names in texts]),
     }
 
 
@@ -151,9 +174,18 @@ def time_batch(q, warm: bool, call, k: int) -> float:
 
 
 def summarize(times: dict) -> dict:
-    """Per case, pair_stats over its rounds' (parent, change) ms."""
-    return {case: pair_stats([(r["parent"], r["change"]) for r in rounds])
-            for case, rounds in times.items()}
+    """Per case, pair_stats over its rounds' (parent, change) ms, and
+    the median and quartiles of the rounds' change/parent ratios."""
+    summary = {}
+    for case, rounds in times.items():
+        ratios = [r["change"] / r["parent"] for r in rounds]
+        q = statistics.quantiles(ratios, n=4)
+        summary[case] = {
+            **pair_stats([(r["parent"], r["change"]) for r in rounds]),
+            "ratio_median": statistics.median(ratios),
+            "ratio_quartiles": [q[0], q[2]],
+        }
+    return summary
 
 
 def main(argv=None):
@@ -167,7 +199,8 @@ def main(argv=None):
         ap.error("--rounds must be at least 2 for quartiles")
     sides = {"parent": load_tree(args.parent.resolve(), "qcamaj_parent"),
              "change": load_tree(CHANGE, "qcamaj_change")}
-    plans = {side: cases(q) for side, q in sides.items()}
+    texts = check_texts()
+    plans = {side: cases(q, texts) for side, q in sides.items()}
     calls = {case: calls_for(max(time_batch(q, *plans[side][case], 1)
                                  for side, q in sides.items()))
              for case in plans["change"]}
