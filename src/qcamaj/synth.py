@@ -22,11 +22,14 @@ bit operations per child.  Both passes of a level read this table:
 
 - The scan looks for gates whose table is an unsolved target.  Only
   tuples holding g can make one (see run).  A pair makes target T for
-  some child only if lo <= T <= hi, which one test checks for every
-  parent.  If g does not matter there, every child makes T; otherwise
-  the children that do are looked up by table, probing only the tables
-  that agree with T where g matters and that the parent's table bitmap,
-  one int per parent, marks as some child's.
+  some child only if lo <= T <= hi, and one test per target covers
+  every (row, parent) lane of the level, packed into two ints when the
+  level is built.  If g does not matter there, every child makes T;
+  otherwise the children that do are looked up by table, probing only
+  the tables that agree with T where g matters and that the parent's
+  table bitmap, one int per parent, marks as some child's.  A chain's
+  inverters are counted from one negated-literal bitmask per row and
+  one per child.
 - The growth step extends every state by each gate of a function new to
   its chain and shallower than max_levels, in tuple order, and keeps the
   first chain per (table, depth) profile.
@@ -42,8 +45,8 @@ _LEVELS keeps the levels for later calls in the process, each built the
 first time a call reaches it, so the first call under a budget pays for
 the build and the next ones only scan.  It holds one key at a time: a
 call under another key drops the held levels first, so the cache keeps
-no more than one search of that budget allocates (about 1.2 MB for the
-default budget and 4.2 MB for SearchBudget(5, 5, False) by tracemalloc,
+no more than one search of that budget allocates (about 1.4 MB for the
+default budget and 4.5 MB for SearchBudget(5, 5, False) by tracemalloc,
 operand tuples included).  A level's row table, its children's table
 bitmaps and its rows' depths are built whole, and growth gives the next
 level new parent chains, so no later call or level writes to a cached
@@ -102,6 +105,9 @@ class SearchBudget:
 
 _BYTE = 0xFF    # a table of up to three variables fits one byte
 _COMBOS: dict[tuple, list] = {}     # _Searcher._combos, built on first use
+# n_vars -> each operand tuple of _COMBOS -> the bitmask of the negated
+# literals it holds (bit x for candidate x), built with the tuples
+_NEGS: dict[int, dict[tuple, int]] = {}
 # _Searcher._level: (n_vars, allow_maj5, max_levels) -> each level's _Rows,
 # built on first use; one key at a time.  Threads that reach an unbuilt
 # level together would append it twice without the lock
@@ -114,9 +120,11 @@ class _Chain:
     tables and depths.  A gate's code is its table | depth << 8; `codes`
     holds the code each of the chain's growth rows makes, two bytes per
     row, little-endian on every host, and the operand tuple of a child's
-    newest gate is the first row with its code."""
+    newest gate is the first row with its code.  A chain the scan offers
+    also gets `negs`, the bitmask of the negated literals its gates use
+    (bit x for candidate x)."""
 
-    __slots__ = ("gates", "tables", "depths", "codes")
+    __slots__ = ("gates", "tables", "depths", "codes", "negs")
 
     def __init__(self, gates, tables, depths):
         self.gates, self.tables, self.depths = gates, tables, depths
@@ -173,7 +181,11 @@ class _Rows:
     child with table gt makes (gt & hi) | lo.  A row without g is a fixed
     table t, kept as lo = hi = t so that the same formula gives t.  The
     scan reads the pairs; at level 1 no tuple holds g, as the chain has
-    no gate yet, so every gate is new and every row scans.  kid_tables
+    no gate yet, so every gate is new and every row scans.  scan_lo and
+    scan_hi hold the scan rows' lanes of the whole level as two ints,
+    row after row, so that fits tests every (row, parent) lane for a
+    target at once; negs holds each row's negated literals as a bitmask,
+    read from _NEGS.  kid_tables
     holds, per parent, one int whose bit t is set when some child's g has
     table t, so that the scan probes a parent's codes only for tables
     that some child has.  depths maps each depths tuple a child can have,
@@ -187,7 +199,7 @@ class _Rows:
         self.combos, self.groups, self.level = combos, groups, level
         parents = [p for p, _ in groups]
         self.np = np = len(parents)
-        self.ones = ones = int.from_bytes(b"\x01" * np, "little")
+        ones = int.from_bytes(b"\x01" * np, "little")
         # the candidates' tables, one lane per parent; g comes last
         lanes = [t * ones for t in searcher.base_tables] + [
             int.from_bytes(bytes(p.tables[j] for p in parents), "little")
@@ -201,6 +213,15 @@ class _Rows:
                      or range(len(combos)))
         self._bytes = [b"".join(v.to_bytes(np, "little") for v in half)
                        for half in (self.lo, self.hi)]
+        # lane j * np + i: the j-th scan row, parent i
+        self.scan_lo, self.scan_hi = (
+            int.from_bytes(b"".join(half[r].to_bytes(np, "little")
+                                    for r in self.scan), "little")
+            for half in (self.lo, self.hi))
+        self.scan_ones = int.from_bytes(b"\x01" * (np * len(self.scan)),
+                                        "little")
+        negs = _NEGS[searcher.n]
+        self.negs = [negs[c] for c in combos]
         self.kid_tables = [sum(1 << t for t in {c & _BYTE for c in codes})
                            for _, codes in groups]
         # a child's gates are its parent's, then g at depth 1 to level - 1;
@@ -218,6 +239,29 @@ class _Rows:
     def parent(self, i: int) -> tuple[bytes, bytes]:
         """Every row's lo and hi for parent i, a byte each."""
         return self._bytes[0][i::self.np], self._bytes[1][i::self.np]
+
+    def fits(self, target: int):
+        """(r, parents) for each scan row r, in order, whose pair can make
+        target for some parent: lo <= target <= hi in its lane.  parents
+        yields those parents i in order.  One test covers every lane of
+        the level, and bytes.find skips the rows that fit nowhere."""
+        np, scan, ones = self.np, self.scan, self.scan_ones
+        many = target * ones
+        # lo <= T <= hi just when (lo | T) & hi is T, as lo is inside hi;
+        # a lane stays nonzero where the pair misses T, and the folds OR
+        # its byte into its low bit
+        miss = ((self.scan_lo | many) & self.scan_hi) ^ many
+        miss |= miss >> 4
+        miss |= miss >> 2
+        miss |= miss >> 1
+        lanes = ((miss & ones) ^ ones).to_bytes(np * len(scan), "little")
+        parents = range(np)
+        at = lanes.find(1)
+        while at >= 0:
+            j = at // np
+            end = (j + 1) * np
+            yield scan[j], itertools.compress(parents, lanes[end - np:end])
+            at = lanes.find(1, end)
 
 
 class _Searcher:
@@ -262,6 +306,9 @@ class _Searcher:
                 rest = [x for x in range(ncand) if x != p]
                 out += [(p, p) + c for c in itertools.combinations(rest, 3)
                         if ok((p,) + c)]
+        _NEGS.setdefault(n, {}).update(
+            (c, sum(1 << x for x in self.negated.intersection(c)))
+            for c in out)
         _COMBOS[n, ncand, maj5_ok] = out
         return out
 
@@ -337,35 +384,26 @@ class _Searcher:
 
     def _scan(self, rows, unsolved):
         """The best network per target that a gate of level rows solves.
-        A row's pair can make target T only if lo <= T <= hi, which one
-        test checks for every parent.  When g does not matter (lo == hi
-        == T) every child of the parent makes T; otherwise the children
-        whose table agrees with T where g matters are looked up by table,
-        probing only the tables that both agree and are some child's: one
-        AND of the parent's table bitmap with the agreeing tables' bitmap,
-        which each target builds once per mask m."""
+        A row's pair can make target T only if lo <= T <= hi, and one
+        test per target covers every (row, parent) lane of the level
+        (rows.fits).  When g does not matter (lo == hi == T) every child
+        of the parent makes T; otherwise the children whose table agrees
+        with T where g matters are looked up by table, probing only the
+        tables that both agree and are some child's: one AND of the
+        parent's table bitmap with the agreeing tables' bitmap, which
+        each target builds once per mask m.  A child's negated literals
+        are counted once, when the kids memo makes it."""
         level, groups = rows.level, rows.groups
-        mask, ones, np = self.mask, rows.ones, rows.np
+        mask, np, negs = self.mask, rows.np, _NEGS[self.n]
         lo_bytes, hi_bytes = rows._bytes
         depth_codes = [d << 8 for d in range(1, level)]
         kids: dict[tuple, _Chain] = {}
         found: dict[int, tuple] = {}    # target -> (key, tied chains)
         for target in unsolved:
-            many = target * ones
             agree: dict[int, int] = {}      # m -> _agreeing(target, m)
-            for r in rows.scan:
-                # lo <= T <= hi just when (lo | T) & hi is T, as lo is
-                # inside hi; a lane stays nonzero where the pair misses T
-                miss = ((rows.lo[r] | many) & rows.hi[r]) ^ many
-                miss |= miss >> 4
-                miss |= miss >> 2
-                miss |= miss >> 1
-                fits = ones & ~miss
-                if not fits:
-                    continue
+            for r, parents in rows.fits(target):
                 at = r * np
-                for i in itertools.compress(range(np),
-                                            fits.to_bytes(np, "little")):
+                for i in parents:
                     m = lo_bytes[at + i] ^ hi_bytes[at + i]     # g matters
                     p, codes = groups[i]
                     if m:
@@ -387,6 +425,9 @@ class _Searcher:
                         kid = kids.get((i, c))
                         if kid is None:
                             kid = kids[i, c] = self._child(p, c)
+                            kid.negs = 0
+                            for gate in kid.gates:
+                                kid.negs |= negs[gate]
                         self._offer(level, kid, rows, r, target, found)
         root = self.nbase + level - 1
         return {t: from_text(self._least_text(chains, root))
@@ -394,15 +435,17 @@ class _Searcher:
 
     def _offer(self, level, kid, rows, r, target, found):
         """Record kid grown by the gate of row r as a way to make target if
-        it ties or beats the best key so far."""
-        chain = kid.gates + (rows.combos[r],)
-        ninv = len(self.negated.intersection(itertools.chain(*chain)))
+        it ties or beats the best key so far.  Its inverters are the
+        distinct negated literals of kid's gates and of row r's, one OR of
+        their bitmasks; the chain is built only for a key that ties or
+        wins."""
+        ninv = (kid.negs | rows.negs[r]).bit_count()
         key = (level + ninv, rows.depths[kid.depths][0][r], ninv)
         best = found.get(target)
         if best is None or key < best[0]:
-            found[target] = (key, [chain])
+            found[target] = (key, [kid.gates + (rows.combos[r],)])
         elif key == best[0]:
-            best[1].append(chain)
+            best[1].append(kid.gates + (rows.combos[r],))
 
     def _grow(self, rows):
         """Every state of level rows grown by each gate of a function new

@@ -117,3 +117,9 @@ def test_a_cold_batch_clears_the_cache_before_each_call():
     seen.clear()
     layer_pairs.time_batch(q, True, call, 3)
     assert seen == [1, 2, 3, 4]
+
+
+def test_class_cases_hold_every_target_of_their_class():
+    # the default budget's minimum gate counts: 8 targets need no gate
+    sizes = {c: len(t) for c, t in layer_pairs.class_targets().items()}
+    assert sizes == {0: 8, 1: 96, 2: 120, 3: 32}

@@ -10,7 +10,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcamaj import (
     NetworkBuilder,
@@ -544,6 +544,116 @@ def test_cached_levels_hold_no_placeholder():
             synthesize(TruthTable.from_int(3, t), budget)
         assert [(rows.kid_tables, rows.depths)
                 for rows in levels] == built
+
+
+def negated_mask(searcher, operands):
+    """The bitmask of the negated literals among operands."""
+    return sum(1 << x for x in searcher.negated.intersection(operands))
+
+
+def test_cached_levels_hold_complete_packed_lanes_and_masks():
+    for budget, table in ((SearchBudget(), BY_CLASS[SearchBudget()][3]),
+                          (SearchBudget(5, 5, False), 180)):
+        synth._LEVELS.clear()
+        synthesize(TruthTable.from_int(3, table), budget)
+        [levels] = synth._LEVELS.values()
+        searcher = _Searcher(3, budget)
+        for rows in levels:
+            np = rows.np
+            # the scan rows' lanes of the whole level, row after row, as
+            # the per-parent bytes hold them
+            for half, packed in zip(rows._bytes,
+                                    (rows.scan_lo, rows.scan_hi)):
+                assert packed == int.from_bytes(b"".join(
+                    half[r * np:(r + 1) * np] for r in rows.scan), "little")
+            assert rows.scan_ones == int.from_bytes(
+                b"\x01" * (np * len(rows.scan)), "little")
+            assert rows.negs == [negated_mask(searcher, c)
+                                 for c in rows.combos]
+        # later calls under every class leave them be
+        built = [(rows.scan_lo, rows.scan_hi, rows.scan_ones, rows.negs,
+                  list(rows.negs)) for rows in levels]
+        for t in BY_CLASS[budget].values():
+            for b in (budget, SearchBudget(2, budget.max_levels,
+                                           budget.allow_maj5)):
+                synthesize(TruthTable.from_int(3, t), b)
+        assert [(rows.scan_lo, rows.scan_hi, rows.scan_ones, rows.negs)
+                for rows in levels] == [b[:4] for b in built]
+        assert all(rows.scan_lo is b[0] and rows.scan_hi is b[1]
+                   and rows.negs is b[3] and rows.negs == b[4]
+                   for rows, b in zip(levels, built))
+
+
+def test_every_offer_counts_the_chains_inverters(monkeypatch):
+    # the kid's mask, made once by the scan's kids memo, ORed with the
+    # row's, counts the distinct negated literals of the offered chain
+    offer = _Searcher._offer
+    offers = []
+
+    def counted(self, level, kid, rows, r, target, found):
+        combo = rows.combos[r]
+        assert kid.negs == negated_mask(self, itertools.chain(*kid.gates))
+        assert rows.negs[r] == negated_mask(self, combo)
+        assert (kid.negs | rows.negs[r]).bit_count() == len(
+            self.negated.intersection(itertools.chain(*kid.gates, combo)))
+        offers.append(kid.negs | rows.negs[r])
+        offer(self, level, kid, rows, r, target, found)
+
+    monkeypatch.setattr(_Searcher, "_offer", counted)
+    synth._LEVELS.clear()
+    synthesize_all_3var()
+    # offers with none, some and all three of the negated literals
+    assert len(offers) > 1000
+    assert {m.bit_count() for m in offers} == {0, 1, 2, 3}
+
+
+def per_row_fits(rows, target):
+    """The (r, i) lanes the scan tested row by row before the packed
+    test: one int per scan row, one byte lane per parent."""
+    np = rows.np
+    ones = int.from_bytes(b"\x01" * np, "little")
+    many = target * ones
+    lanes = []
+    for r in rows.scan:
+        miss = ((rows.lo[r] | many) & rows.hi[r]) ^ many
+        miss |= miss >> 4
+        miss |= miss >> 2
+        miss |= miss >> 1
+        fits = ones & ~miss
+        lanes += [(r, i) for i in itertools.compress(
+            range(np), fits.to_bytes(np, "little"))]
+    return lanes
+
+
+def assert_packed_fits_match_the_rows(rows):
+    lo_bytes, hi_bytes = rows._bytes
+    for target in range(256):
+        got = [(r, i) for r, parents in rows.fits(target) for i in parents]
+        assert got == per_row_fits(rows, target)
+        # each a scan lane with lo inside target inside hi
+        for r, i in got:
+            at = r * rows.np + i
+            assert lo_bytes[at] & ~target == 0 == target & ~hi_bytes[at]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)),
+                min_size=1, max_size=4))
+def test_packed_lane_test_matches_the_per_row_test(parents):
+    # level 4: two parent gates and the newest gate, one lane per parent
+    searcher = _Searcher(3, SearchBudget(max_gates=4))
+    combos = searcher._combos(11)
+    assert_packed_fits_match_the_rows(
+        _Rows(searcher, combos, [(_Parent(p), {}) for p in parents], 4))
+
+
+def test_packed_lane_test_matches_on_the_cached_levels():
+    synth._LEVELS.clear()
+    synthesize(TruthTable.from_int(3, BY_CLASS[SearchBudget()][3]))
+    [levels] = synth._LEVELS.values()
+    assert [rows.np for rows in levels] == [1, 1, 96]
+    for rows in levels:
+        assert_packed_fits_match_the_rows(rows)
 
 
 def test_a_deeper_level_leaves_the_cached_ones_unwritten():

@@ -20,6 +20,10 @@ before each batch.  The cases:
 - `synthesize` on table 66, warm and cold, and on table 24, warm;
 - table 180 under `SearchBudget(5, 5, False)`, cold;
 - the default atlas (`synthesize_all_3var`), cold;
+- `synthesize` on every target of class 1 and of class 2, warm, and on
+  every target of class 3 under `--max-gates 2` (the not-found path),
+  warm; a target's class is its minimum gate count under the default
+  budget, read from `perfbench/ref_counts.json` (`class_targets`);
 - `cli.main` on `synth "sum(1,6)" --format records`, warm, and on
   `sim wire 1 --length 1000 --format records`, output discarded;
 - `CellGrid` on the cells of wires of 1,000, 512 and 64 cells and of the
@@ -92,12 +96,28 @@ def check_texts() -> list[tuple[str, list[str]]]:
             for r in plan.round(CHECK_ROUND) if r.kind == "verify"]
 
 
+def class_targets() -> dict[int, list[int]]:
+    """Minimum gate count under the default budget -> the targets with
+    that count, as perfbench's SynthPlan reads them."""
+    counts = json.loads((CHANGE / "perfbench" / "ref_counts.json")
+                        .read_text())["default"]["min_gates"]
+    classes: dict[int, list[int]] = {}
+    for t, c in enumerate(counts):
+        classes.setdefault(c, []).append(t)
+    return classes
+
+
 def cases(q, texts) -> dict:
     """Case name -> (warm, call) on package q, `texts` being
     check_texts(); a cold case (warm False) clears the level cache
     before each call."""
     synth, table = q.synth, q.truthtable.TruthTable.from_int
     cellsim, render = q.cellsim, q.cli.render_records
+    classes = {c: [table(3, t) for t in targets]
+               for c, targets in class_targets().items()}
+
+    def synth_class(c, budget=None):
+        return lambda: [synth.synthesize(spec, budget) for spec in classes[c]]
 
     def cli(*argv):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -134,6 +154,10 @@ def cases(q, texts) -> dict:
         "synth 180 (5, 5, False) cold": (False, lambda: synth.synthesize(
             table(3, 180), synth.SearchBudget(5, 5, False))),
         "atlas cold": (False, synth.synthesize_all_3var),
+        "synth class 1 warm": (True, synth_class(1)),
+        "synth class 2 warm": (True, synth_class(2)),
+        "synth class 3 --max-gates 2 warm": (
+            True, synth_class(3, synth.SearchBudget(max_gates=2))),
         "cli synth sum(1,6)": (True, lambda: cli("synth", "sum(1,6)")),
         "cli sim wire 1 --length 1000": (
             True, lambda: cli("sim", "wire", "1", "--length", "1000")),
