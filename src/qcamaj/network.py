@@ -65,6 +65,8 @@ class Network:
 
 
 def _check_n_vars(n_vars: int) -> None:
+    if type(n_vars) is not int:
+        raise ValueError(f"n_vars must be an int, got {n_vars!r}")
     if n_vars < 1:
         raise ValueError(f"n_vars must be positive, got {n_vars}")
 

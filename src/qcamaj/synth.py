@@ -57,13 +57,14 @@ the fewest majority gates, the result minimizes (gate_count, levels,
 inverter_count) and finally the serialized text.  The scan keeps every
 candidate that ties the best key and settles the tie line by line: it
 advances the tied chains' to_text lines together, made straight from
-each chain, keeps those whose line is least, and writes the whole text,
-and builds a Network, only for the winner.  Repeated runs therefore
-return byte-identical answers.  The tests check every three-variable
-function's minimum majority count against the independent search in
-tests/_oracles.py under two budgets, and freeze the atlas text by hash.
-A target that cannot be reached inside the budget yields None rather
-than an exception.
+each chain, and keeps those whose line is least.  The winner's Network
+is built straight from its chain with NetworkBuilder, in the order the
+lines number its nodes; no whole text is written or parsed back.
+Repeated runs therefore return byte-identical answers.  The tests
+check every three-variable function's minimum majority count against
+the independent search in tests/_oracles.py under two budgets, and
+freeze the atlas text by hash.  A target that cannot be reached inside
+the budget yields None rather than an exception.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .network import CostReport, Network, cost, format_expr, from_text
+from .network import CostReport, Network, NetworkBuilder, cost, format_expr
 from .truthtable import TruthTable, format_minterms, maj3, maj5, var_table
 
 SYNTH_MAX_VARS = 3
@@ -316,9 +317,10 @@ class _Searcher:
 
     def _lines(self, gates, root: int):
         """The node lines, then the output line, of _text(gates, root),
-        each made when it is asked for.  Nodes are numbered in first-use
-        order.  A gate has 3 or 5 operands, so the 1-tuple (root,) that
-        ends the walk is the output."""
+        each made when it is asked for, for _least's tie-break.  Nodes
+        are numbered in first-use order, the order in which _network
+        interns them.  A gate has 3 or 5 operands, so the 1-tuple
+        (root,) that ends the walk is the output."""
         n, nbase = self.n, self.nbase
         # node ids, keyed by base candidate index or by gate node text
         ids: dict = {}
@@ -347,19 +349,20 @@ class _Searcher:
             gate_ids.append(ids[node])
 
     def _text(self, gates, root: int) -> str:
-        """to_text of the network NetworkBuilder makes from the chain's
-        operand tuples with output `root`, written without building it;
-        test_chain_text_matches_the_builder pins the two together."""
+        """to_text of _network(gates, root), written without building
+        it.  The search writes no whole text; the tests read this one as
+        the reference for _least and _network, and
+        test_chain_text_matches_the_builder pins it to the builder."""
         return "\n".join([f"network {self.n}", *self._lines(gates, root), ""])
 
-    def _least_text(self, chains, root: int) -> str:
-        """min(self._text(c, root) for c in chains), settled line by line:
-        each round advances every chain still tied by one line and keeps
-        those whose line is least.  Every line sorts above the newline
-        that ends the line before it, so line lists order as their texts
-        do.  Once one chain is left, or the least line is the output line
-        (the last, so the survivors' texts are equal), only its text is
-        written."""
+    def _least(self, chains, root: int):
+        """The chain of min(self._text(c, root) for c in chains), settled
+        line by line: each round advances every chain still tied by one
+        line and keeps those whose line is least.  Every line sorts above
+        the newline that ends the line before it, so line lists order as
+        their texts do.  Once one chain is left, or the least line is the
+        output line (the last, so the survivors' texts are equal), it is
+        the winner; no whole text is written."""
         alive = [(self._lines(c, root), c) for c in chains]
         while len(alive) > 1:
             heads = [next(lines) for lines, _ in alive]
@@ -367,7 +370,32 @@ class _Searcher:
             alive = [a for a, h in zip(alive, heads) if h == least]
             if least.startswith("output"):
                 break
-        return self._text(alive[0][1], root)
+        return alive[0][1]
+
+    def _network(self, gates, root: int) -> Network:
+        """The network of the chain's operand tuples with output `root`,
+        interned through NetworkBuilder in the order _lines numbers its
+        nodes: gates in chain order, each gate's operands in tuple
+        order, a negated literal's input before its inverter, and the
+        root last."""
+        n, nbase = self.n, self.nbase
+        b = NetworkBuilder(n)
+        gate_ids: list[int] = []
+
+        def node(ci):
+            if ci >= nbase:
+                return gate_ids[ci - nbase]
+            if ci < 2:
+                return b.const(ci)
+            if ci < 2 + n:
+                return b.input(ci - 2)
+            return b.invert(b.input(ci - 2 - n))
+
+        for combo in gates:
+            args = [node(ci) for ci in combo]
+            gate_ids.append(b.maj3(*args) if len(args) == 3
+                            else b.maj5(*args))
+        return b.build(node(root))
 
     # ---- the search ------------------------------------------------------
 
@@ -430,7 +458,7 @@ class _Searcher:
                                 kid.negs |= negs[gate]
                         self._offer(level, kid, rows, r, target, found)
         root = self.nbase + level - 1
-        return {t: from_text(self._least_text(chains, root))
+        return {t: self._network(self._least(chains, root), root)
                 for t, (_, chains) in found.items()}
 
     def _offer(self, level, kid, rows, r, target, found):
@@ -509,7 +537,7 @@ class _Searcher:
 
     def run(self, targets: set[int]) -> dict[int, Network]:
         # depth 0: constants and literals (their tables are all distinct)
-        solutions = {t: from_text(self._text((), idx))
+        solutions = {t: self._network((), idx)
                      for idx, t in enumerate(self.base_tables) if t in targets}
         unsolved = set(targets).difference(solutions)
 

@@ -27,6 +27,8 @@ MAX_VARS = 8
 
 
 def _check_n_vars(n_vars: int) -> None:
+    if type(n_vars) is not int:
+        raise ValueError(f"n_vars must be an int, got {n_vars!r}")
     if not 1 <= n_vars <= MAX_VARS:
         raise ValueError(
             f"n_vars must be between 1 and {MAX_VARS}, got {n_vars}"

@@ -7,6 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import qcamaj
+import qcamaj.cli
+from qcamaj.network import cost, truth_table
+from qcamaj.truthtable import TruthTable, format_minterms
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_pairs.py"
 spec = importlib.util.spec_from_file_location("layer_pairs", TOOL)
 layer_pairs = importlib.util.module_from_spec(spec)
@@ -123,3 +128,23 @@ def test_class_cases_hold_every_target_of_their_class():
     # the default budget's minimum gate counts: 8 targets need no gate
     sizes = {c: len(t) for c, t in layer_pairs.class_targets().items()}
     assert sizes == {0: 8, 1: 96, 2: 120, 3: 32}
+
+
+def test_the_cli_class_2_case_asks_synth_for_each_class_2_target(
+        monkeypatch):
+    plan = layer_pairs.cases(qcamaj, [])
+    seen = []
+    monkeypatch.setattr(qcamaj.cli, "main",
+                        lambda argv: seen.append(argv) or 0)
+    warm, call = plan["cli synth class 2"]
+    assert warm and call() == [0] * 120
+    assert seen == [
+        ["synth", format_minterms(TruthTable.from_int(3, t).minterms()),
+         "--format", "records"]
+        for t in layer_pairs.class_targets()[2]]
+    # class 0: the constants and literals, each answered with no gate
+    warm, call = plan["synth class 0 warm"]
+    nets = call()
+    assert warm and [truth_table(net).to_int() for net in nets] == (
+        layer_pairs.class_targets()[0])
+    assert all(cost(net).levels == 0 for net in nets)

@@ -137,7 +137,13 @@ def _maj3_over_two_inputs(c):
     (lambda: NetworkBuilder(0),
      lambda: Network(0, (Node("const", (0,)),), 0),
      "n_vars must be positive, got 0"),
-], ids=["input 2 of 2", "const 2", "child 99", "not -1", "n_vars 0"])
+    *[(lambda v=v: NetworkBuilder(v),
+       lambda v=v: Network(v, (Node("const", (0,)),), 0),
+       f"n_vars must be an int, got {v!r}")
+      for v in (2.5, float("nan"), "3", True, 2.0)],
+], ids=["input 2 of 2", "const 2", "child 99", "not -1", "n_vars 0",
+        "n_vars 2.5", "n_vars nan", "n_vars '3'", "n_vars True",
+        "n_vars 2.0"])
 def test_builder_and_network_reject_a_bad_node_in_the_same_words(
         build, direct, message):
     for make in (build, direct):

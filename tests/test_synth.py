@@ -722,7 +722,10 @@ def test_chain_text_matches_the_builder(chain):
         args = [resolve(ci) for ci in combo]
         gate_ids.append(b.maj3(*args) if len(args) == 3 else b.maj5(*args))
     net = b.build(resolve(root))
-    assert _Searcher(n, SearchBudget())._text(gates, root) == to_text(net)
+    searcher = _Searcher(n, SearchBudget())
+    assert searcher._text(gates, root) == to_text(net)
+    # the search builds its networks the same way, with no text between
+    assert searcher._network(gates, root) == net
 
 
 def test_every_recorded_candidate_has_its_key(monkeypatch):
@@ -778,21 +781,22 @@ def tie_lists(draw):
 def test_ties_settle_to_the_least_text(ties):
     n, chains, root = ties
     searcher = _Searcher(n, SearchBudget())
-    assert searcher._least_text(chains, root) == min(
+    assert searcher._text(searcher._least(chains, root), root) == min(
         searcher._text(gates, root) for gates in chains)
 
 
 def test_every_recorded_tie_settles_to_the_least_text(monkeypatch):
-    least = _Searcher._least_text
+    least = _Searcher._least
     sizes = []
 
     def checked(self, chains, root):
         got = least(self, chains, root)
-        assert got == min(self._text(gates, root) for gates in chains)
+        assert self._text(got, root) == min(
+            self._text(gates, root) for gates in chains)
         sizes.append(len(chains))
         return got
 
-    monkeypatch.setattr(_Searcher, "_least_text", checked)
+    monkeypatch.setattr(_Searcher, "_least", checked)
     gated = 0
     for budget in (SearchBudget(), SearchBudget(max_gates=2),
                    SearchBudget(4, 4, False)):

@@ -68,6 +68,17 @@ def test_n_vars_bounds():
     # 8 variables is the documented ceiling and must work
     tt = TruthTable.from_minterms(8, {255})
     assert tt.eval((1,) * 8) == 1
+    # n_vars is an int, not a float, a string or a bool
+    for bad in (2.0, 2.5, float("nan"), "3", True):
+        for make in (lambda: TruthTable.from_int(bad, 3),
+                     lambda: TruthTable.from_minterms(bad, set()),
+                     lambda: TruthTable(bad, (0, 1))):
+            with pytest.raises(ValueError) as raised:
+                make()
+            assert str(raised.value) == f"n_vars must be an int, got {bad!r}"
+    with pytest.raises(ValueError) as raised:
+        TruthTable.from_int(9, 0)
+    assert str(raised.value) == "n_vars must be between 1 and 8, got 9"
 
 
 def test_minterm_out_of_range_names_the_offender():

@@ -20,12 +20,16 @@ before each batch.  The cases:
 - `synthesize` on table 66, warm and cold, and on table 24, warm;
 - table 180 under `SearchBudget(5, 5, False)`, cold;
 - the default atlas (`synthesize_all_3var`), cold;
-- `synthesize` on every target of class 1 and of class 2, warm, and on
-  every target of class 3 under `--max-gates 2` (the not-found path),
-  warm; a target's class is its minimum gate count under the default
-  budget, read from `perfbench/ref_counts.json` (`class_targets`);
-- `cli.main` on `synth "sum(1,6)" --format records`, warm, and on
-  `sim wire 1 --length 1000 --format records`, output discarded;
+- `synthesize` on every target of class 0 (the constants and literals,
+  which no gate makes), of class 1 and of class 2, warm, and on every
+  target of class 3 under `--max-gates 2` (the not-found path), warm; a
+  target's class is its minimum gate count under the default budget,
+  read from `perfbench/ref_counts.json` (`class_targets`);
+- `cli.main` on `synth "sum(1,6)" --format records`, warm, on
+  `synth <target> --format records` for each of the 120 class-2 targets
+  in turn, warm, the in-process shape of a synth-requests median
+  request, and on `sim wire 1 --length 1000 --format records`, output
+  discarded;
 - `CellGrid` on the cells of wires of 1,000, 512 and 64 cells and of the
   inverter, maj3 and maj5 gates, and `relax` on the 1,000-cell wire;
 - `render_records` on the reports of the default atlas, `audit-tables`
@@ -115,6 +119,8 @@ def cases(q, texts) -> dict:
     cellsim, render = q.cellsim, q.cli.render_records
     classes = {c: [table(3, t) for t in targets]
                for c, targets in class_targets().items()}
+    class_2_argvs = [("synth", q.truthtable.format_minterms(spec.minterms()))
+                     for spec in classes[2]]
 
     def synth_class(c, budget=None):
         return lambda: [synth.synthesize(spec, budget) for spec in classes[c]]
@@ -154,11 +160,14 @@ def cases(q, texts) -> dict:
         "synth 180 (5, 5, False) cold": (False, lambda: synth.synthesize(
             table(3, 180), synth.SearchBudget(5, 5, False))),
         "atlas cold": (False, synth.synthesize_all_3var),
+        "synth class 0 warm": (True, synth_class(0)),
         "synth class 1 warm": (True, synth_class(1)),
         "synth class 2 warm": (True, synth_class(2)),
         "synth class 3 --max-gates 2 warm": (
             True, synth_class(3, synth.SearchBudget(max_gates=2))),
         "cli synth sum(1,6)": (True, lambda: cli("synth", "sum(1,6)")),
+        "cli synth class 2": (True, lambda: [cli(*argv)
+                                             for argv in class_2_argvs]),
         "cli sim wire 1 --length 1000": (
             True, lambda: cli("sim", "wire", "1", "--length", "1000")),
         **{f"CellGrid {name}": (True, lambda g=g: cellsim.CellGrid(g.cells))
