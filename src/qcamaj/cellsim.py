@@ -77,7 +77,8 @@ def _polarization(rho: Sequence[float], plus: tuple[int, ...],
                   n_dots: int) -> float:
     if len(rho) != n_dots:
         raise ChargeError(f"expected {n_dots} dot charges, got {len(rho)}")
-    if not all(0 <= r < math.inf for r in rho):
+    if not all(isinstance(r, numbers.Real) and 0 <= r < math.inf
+               for r in rho):
         raise ChargeError(f"dot charges must lie in [0, inf): {tuple(rho)}")
     total = sum(rho)
     if total == 0:
@@ -213,6 +214,8 @@ def relax(grid: CellGrid, tol: float = 1e-6, max_iter: int = 1000
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if type(max_iter) is not int:
+        raise ValueError(f"max_iter must be an int, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     p = [c.polarization if c.role == DRIVER else 0.0 for c in grid.cells]
@@ -259,6 +262,8 @@ def build_wire(length: int, driver_p: float) -> CellGrid:
 
     Raises CapacityError above MAX_WIRE_CELLS cells, before building any.
     """
+    if type(length) is not int:
+        raise ValueError(f"a wire length must be an int, got {length!r}")
     if length < 2:
         raise ValueError(f"a wire needs at least 2 cells, got {length}")
     if length > MAX_WIRE_CELLS:

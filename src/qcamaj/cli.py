@@ -29,7 +29,7 @@ from .cellsim import (build_inverter, build_maj3, build_maj5, build_wire,
                       read_logic, relax)
 from .errors import ConvergenceError, UndecidedError
 from .expr import parse_expr
-from .network import check_names, cost, format_expr, order_note, verify
+from .network import cost, format_expr, order_note, verify
 from .synth import SearchBudget, synthesize, synthesize_all_3var
 from .truthtable import TruthTable, format_minterms, parse_minterm_spec
 
@@ -91,11 +91,6 @@ def _cost_fields(c) -> dict:
             "levels": c.levels}
 
 
-def _names(args) -> list[str]:
-    names = args.order.split(",")
-    return check_names(names, len(names))
-
-
 def _budget(args) -> SearchBudget:
     return SearchBudget(max_gates=args.max_gates, max_levels=args.max_levels,
                         allow_maj5=not args.no_maj5)
@@ -107,7 +102,7 @@ def _budget_text(budget: SearchBudget) -> str:
 
 
 def cmd_verify(args) -> tuple[RunReport, int]:
-    names = _names(args)
+    names = args.order.split(",")
     net = parse_expr(args.expression, names)
     spec = TruthTable.from_minterms(len(names), parse_minterm_spec(args.minterms))
     report = RunReport("verify")
@@ -123,18 +118,19 @@ def cmd_verify(args) -> tuple[RunReport, int]:
 
 
 def cmd_synth(args) -> tuple[RunReport, int]:
-    names = _names(args)
+    names = args.order.split(",")
+    ordering = order_note(len(names), names)
     spec = TruthTable.from_minterms(len(names), parse_minterm_spec(args.minterms))
     budget = _budget(args)
     report = RunReport("synth")
     report.add("target", format_minterms(spec.minterms()))
-    report.add("ordering", order_note(len(names), names))
+    report.add("ordering", ordering)
     report.add("budget", _budget_text(budget))
     net = synthesize(spec, budget)
     if net is None:
         report.add("result", "not found within budget")
         return report, 1
-    check = verify(net, spec, names)
+    check = verify(net, spec)
     report.add("result", "found")
     report.add("expression", format_expr(net, names))
     for k, v in _cost_fields(cost(net)).items():
@@ -172,7 +168,7 @@ def cmd_audit_tables(args) -> tuple[RunReport, int]:
         for form, text in (("maj3-only", row.maj3_form),
                            ("with-maj5", row.maj5_form)):
             net = parse_expr(text, names)
-            result = verify(net, spec, names)
+            result = verify(net, spec)
             report.add_row(
                 function=format_minterms(row.minterms),
                 form=form,

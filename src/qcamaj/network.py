@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ArityError, CapacityError
-from .truthtable import MAX_VARS, TruthTable, check_row, maj3, maj5, var_table
+from .truthtable import (MAX_VARS, TruthTable, check_n_vars, check_row, maj3,
+                         maj5, var_table)
 
 INPUT = "input"
 CONST = "const"
@@ -58,17 +59,10 @@ class Network:
     output: int
 
     def __post_init__(self):
-        _check_n_vars(self.n_vars)
+        check_n_vars(self.n_vars)
         _check_output(self.output, self.nodes)
         for i, (kind, args) in enumerate(self.nodes):
             _check_node(i, kind, args, self.n_vars)
-
-
-def _check_n_vars(n_vars: int) -> None:
-    if type(n_vars) is not int:
-        raise ValueError(f"n_vars must be an int, got {n_vars!r}")
-    if n_vars < 1:
-        raise ValueError(f"n_vars must be positive, got {n_vars}")
 
 
 def _check_output(output: int, nodes: tuple[Node, ...]) -> None:
@@ -111,7 +105,7 @@ class NetworkBuilder:
     """
 
     def __init__(self, n_vars: int):
-        _check_n_vars(n_vars)
+        check_n_vars(n_vars)
         self.n_vars = n_vars
         self._nodes: dict[Node, int] = {}
 

@@ -26,13 +26,20 @@ from .errors import ArityError, MintermRangeError, ParseError
 MAX_VARS = 8
 
 
-def _check_n_vars(n_vars: int) -> None:
+def check_n_vars(n_vars: int) -> None:
+    """The one n_vars rule: an int, bool refused, of at least 1.  A
+    network may have any number of inputs; a table caps them too."""
     if type(n_vars) is not int:
         raise ValueError(f"n_vars must be an int, got {n_vars!r}")
-    if not 1 <= n_vars <= MAX_VARS:
+    if n_vars < 1:
+        raise ValueError(f"n_vars must be positive, got {n_vars}")
+
+
+def _check_table_vars(n_vars: int) -> None:
+    check_n_vars(n_vars)
+    if n_vars > MAX_VARS:
         raise ValueError(
-            f"n_vars must be between 1 and {MAX_VARS}, got {n_vars}"
-        )
+            f"n_vars must be between 1 and {MAX_VARS}, got {n_vars}")
 
 
 @dataclass(frozen=True, init=False)
@@ -47,7 +54,7 @@ class TruthTable:
     table: int
 
     def __init__(self, n_vars: int, bits: Sequence[int]):
-        _check_n_vars(n_vars)
+        _check_table_vars(n_vars)
         if len(bits) != 1 << n_vars:
             raise ValueError(
                 f"expected {1 << n_vars} bits for {n_vars} "
@@ -67,15 +74,20 @@ class TruthTable:
         """Build a table that is 1 exactly on the given minterm indices.
 
         Raises MintermRangeError naming the first offending index if any
-        minterm falls outside 0 .. 2**n_vars - 1.
+        minterm falls outside 0 .. 2**n_vars - 1, and ValueError naming
+        the first that is not an int.
         """
-        _check_n_vars(n_vars)
+        _check_table_vars(n_vars)
         size = 1 << n_vars
         table = 0
         for m in minterms:
-            if not 0 <= m < size:
-                raise MintermRangeError(m, n_vars)
-            table |= 1 << m
+            try:    # a non-int fails the range test or the shift
+                if not 0 <= m < size:
+                    raise MintermRangeError(m, n_vars)
+                table |= 1 << m
+            except TypeError:
+                raise ValueError(
+                    f"minterm must be an int, got {m!r}") from None
         return cls.from_int(n_vars, table)
 
     @classmethod
@@ -105,7 +117,9 @@ class TruthTable:
     @classmethod
     def from_int(cls, n_vars: int, table: int) -> "TruthTable":
         """Table whose value at minterm k is bit k of `table`."""
-        _check_n_vars(n_vars)
+        _check_table_vars(n_vars)
+        if type(table) is not int:
+            raise ValueError(f"table must be an int, got {table!r}")
         size = 1 << n_vars
         if not 0 <= table < 1 << size:
             raise ValueError(f"table must lie in 0 .. 2**{size} - 1, got {table}")

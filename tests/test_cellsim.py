@@ -85,6 +85,8 @@ def test_charge_state_validation():
             ChargeState4(rho).polarization()
     with pytest.raises(ChargeError):
         ChargeState8((1, 0, 1, 0, 0, 1, 0, math.nan)).polarization()
+    with pytest.raises(ChargeError, match="must lie in"):
+        ChargeState4(("a", 1, 1, 1)).polarization()
 
 
 # geometry and couplings ------------------------------------------------
@@ -338,6 +340,9 @@ def test_wire_carries_both_logic_values():
 def test_wire_needs_two_cells():
     with pytest.raises(ValueError):
         build_wire(1, 1.0)
+    with pytest.raises(ValueError, match="^a wire length must be an int, "
+                                         "got 5.5$"):
+        build_wire(5.5, 1.0)
 
 
 def test_wire_length_is_capped():
@@ -450,6 +455,8 @@ def test_relax_parameter_validation():
             relax(grid, tol=tol)
     with pytest.raises(ValueError):
         relax(grid, max_iter=0)
+    with pytest.raises(ValueError, match="^max_iter must be an int, got 2.5$"):
+        relax(grid, max_iter=2.5)
 
 
 def test_convergence_error_reports_residual():

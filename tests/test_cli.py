@@ -359,3 +359,31 @@ def test_a_long_error_keeps_its_head_and_its_tail():
     assert cut.startswith("unknown variable 'CCCC")
     assert cut.endswith("' (at position 6)")
     assert " ... " in cut
+
+
+def test_a_request_checks_its_names_once(monkeypatch):
+    # every check_names call a request makes, by its names argument; a
+    # call handed None checks no name, it spells the default A, B, C
+    import qcamaj.expr
+    import qcamaj.network
+    check_names = qcamaj.network.check_names
+    calls = []
+
+    def counted(names, n_vars):
+        calls.append(names)
+        return check_names(names, n_vars)
+
+    for module in (qcamaj.network, qcamaj.expr):
+        monkeypatch.setattr(module, "check_names", counted)
+    checks = {}
+    for argv in (["synth", "sum(1,2,7)", "--order", "X,Y,Z"],
+                 ["verify", "M(X,Y,Z)", "sum(3,5,6,7)", "--order", "X,Y,Z"],
+                 ["audit-tables"],
+                 ["adders"]):
+        calls.clear()
+        assert main([*argv, "--format", "records"]) == 0
+        checks[argv[0]] = sum(names is not None for names in calls)
+    # synth: its order note and its expression; verify: its parse and its
+    # order note; audit-tables: its order note and one parse per form
+    assert checks == {"synth": 2, "verify": 2, "audit-tables": 13,
+                      "adders": 9}

@@ -148,3 +148,26 @@ def test_the_cli_class_2_case_asks_synth_for_each_class_2_target(
     assert warm and [truth_table(net).to_int() for net in nets] == (
         layer_pairs.class_targets()[0])
     assert all(cost(net).levels == 0 for net in nets)
+
+
+def test_the_check_requests_cli_cases_run_verify_and_audit_tables(
+        monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    argvs = layer_pairs.check_argvs()
+    for name in (set(sys.modules) - before) & {"workloads", "reference"}:
+        del sys.modules[name]
+    assert len(argvs) == 12
+    assert all(argv[0] == "verify" and argv[-2:] == ["--format", "records"]
+               for argv in argvs)
+    plan = layer_pairs.cases(qcamaj, argvs)
+    seen = []
+    monkeypatch.setattr(qcamaj.cli, "main",
+                        lambda argv: seen.append(argv) or 0)
+    warm, call = plan["cli verify check-requests"]
+    assert warm and call() == [0] * 12
+    assert seen == argvs
+    seen.clear()
+    warm, call = plan["cli audit-tables"]
+    assert warm and call() == 0
+    assert seen == [["audit-tables", "--format", "records"]]

@@ -152,6 +152,18 @@ def test_builder_and_network_reject_a_bad_node_in_the_same_words(
         assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("v", [0, -1, 2.5, True])
+def test_builder_network_and_table_refuse_n_vars_in_the_same_words(v):
+    messages = set()
+    for make in (lambda: NetworkBuilder(v),
+                 lambda: Network(v, (Node("const", (0,)),), 0),
+                 lambda: TruthTable.from_int(v, 0)):
+        with pytest.raises(ValueError) as raised:
+            make()
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+
+
 def test_cost_census_counts_shared_nodes_once():
     report = cost(parse_expr("M(M(A,B,0),C,0)", NAMES))
     assert (report.maj3_count, report.maj5_count, report.inverter_count,

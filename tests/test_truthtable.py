@@ -87,6 +87,10 @@ def test_minterm_out_of_range_names_the_offender():
     assert exc.value.minterm == 8
     assert exc.value.n_vars == 3
     assert "8" in str(exc.value)
+    for bad in (1.5, "1"):
+        with pytest.raises(ValueError) as raised:
+            TruthTable.from_minterms(3, [1, bad])
+        assert str(raised.value) == f"minterm must be an int, got {bad!r}"
 
 
 def test_eval_rejects_wrong_arity_and_values():
@@ -202,6 +206,10 @@ def test_from_int_rejects_tables_that_do_not_fit():
     for n_vars, table in ((3, 256), (3, -1), (9, 0)):
         with pytest.raises(ValueError):
             TruthTable.from_int(n_vars, table)
+    for table in (1.0, True):
+        with pytest.raises(ValueError) as raised:
+            TruthTable.from_int(3, table)
+        assert str(raised.value) == f"table must be an int, got {table!r}"
 
 
 def test_var_table_sets_the_minterms_where_the_variable_is_one():

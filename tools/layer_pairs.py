@@ -28,8 +28,10 @@ before each batch.  The cases:
 - `cli.main` on `synth "sum(1,6)" --format records`, warm, on
   `synth <target> --format records` for each of the 120 class-2 targets
   in turn, warm, the in-process shape of a synth-requests median
-  request, and on `sim wire 1 --length 1000 --format records`, output
-  discarded;
+  request, on the 12 `verify` argvs of round CHECK_ROUND of the
+  check-requests workload under seed CHECK_SEED in turn, on
+  `audit-tables --format records`, and on `sim wire 1 --length 1000
+  --format records`, output discarded;
 - `CellGrid` on the cells of wires of 1,000, 512 and 64 cells and of the
   inverter, maj3 and maj5 gates, and `relax` on the 1,000-cell wire;
 - `render_records` on the reports of the default atlas, `audit-tables`
@@ -70,7 +72,7 @@ from bench_pairs import pair_stats  # noqa: E402
 
 CHANGE = Path(__file__).resolve().parent.parent
 
-# the check-requests round whose verify texts the parse case reads
+# the check-requests round whose verify requests the parse and cli cases read
 CHECK_SEED, CHECK_ROUND = 1, 0
 
 # a batch runs calls for about this many ms, and at most MAX_CALLS calls
@@ -90,14 +92,18 @@ def load_tree(tree: Path, name: str):
     return package
 
 
-def check_texts() -> list[tuple[str, list[str]]]:
-    """(text, names) of each verify request of one check-requests
-    round."""
+def check_argvs() -> list[list[str]]:
+    """The argv of each verify request of one check-requests round."""
     sys.path.insert(0, str(CHANGE / "perfbench"))
     import workloads
     plan = workloads.CheckPlan(CHECK_SEED, None)
-    return [(r.argv[1], r.argv[4].split(","))
-            for r in plan.round(CHECK_ROUND) if r.kind == "verify"]
+    return [r.argv for r in plan.round(CHECK_ROUND) if r.kind == "verify"]
+
+
+def check_texts(argvs=None) -> list[tuple[str, list[str]]]:
+    """(text, names) of each verify argv, by default check_argvs()."""
+    return [(argv[1], argv[4].split(","))
+            for argv in (check_argvs() if argvs is None else argvs)]
 
 
 def class_targets() -> dict[int, list[int]]:
@@ -111,9 +117,9 @@ def class_targets() -> dict[int, list[int]]:
     return classes
 
 
-def cases(q, texts) -> dict:
-    """Case name -> (warm, call) on package q, `texts` being
-    check_texts(); a cold case (warm False) clears the level cache
+def cases(q, argvs) -> dict:
+    """Case name -> (warm, call) on package q, `argvs` being
+    check_argvs(); a cold case (warm False) clears the level cache
     before each call."""
     synth, table = q.synth, q.truthtable.TruthTable.from_int
     cellsim, render = q.cellsim, q.cli.render_records
@@ -121,13 +127,17 @@ def cases(q, texts) -> dict:
                for c, targets in class_targets().items()}
     class_2_argvs = [("synth", q.truthtable.format_minterms(spec.minterms()))
                      for spec in classes[2]]
+    texts = check_texts(argvs)
 
     def synth_class(c, budget=None):
         return lambda: [synth.synthesize(spec, budget) for spec in classes[c]]
 
-    def cli(*argv):
+    def run(argv):
         with contextlib.redirect_stdout(io.StringIO()):
-            return q.cli.main([*argv, "--format", "records"])
+            return q.cli.main(argv)
+
+    def cli(*argv):
+        return run([*argv, "--format", "records"])
 
     def report(*argv):
         args = q.cli._build_parser().parse_args(argv)
@@ -168,6 +178,9 @@ def cases(q, texts) -> dict:
         "cli synth sum(1,6)": (True, lambda: cli("synth", "sum(1,6)")),
         "cli synth class 2": (True, lambda: [cli(*argv)
                                              for argv in class_2_argvs]),
+        "cli verify check-requests": (True, lambda: [run(argv)
+                                                     for argv in argvs]),
+        "cli audit-tables": (True, lambda: cli("audit-tables")),
         "cli sim wire 1 --length 1000": (
             True, lambda: cli("sim", "wire", "1", "--length", "1000")),
         **{f"CellGrid {name}": (True, lambda g=g: cellsim.CellGrid(g.cells))
@@ -232,8 +245,8 @@ def main(argv=None):
         ap.error("--rounds must be at least 2 for quartiles")
     sides = {"parent": load_tree(args.parent.resolve(), "qcamaj_parent"),
              "change": load_tree(CHANGE, "qcamaj_change")}
-    texts = check_texts()
-    plans = {side: cases(q, texts) for side, q in sides.items()}
+    argvs = check_argvs()
+    plans = {side: cases(q, argvs) for side, q in sides.items()}
     calls = {case: calls_for(max(time_batch(q, *plans[side][case], 1)
                                  for side, q in sides.items()))
              for case in plans["change"]}
