@@ -212,8 +212,12 @@ def relax(grid: CellGrid, tol: float = 1e-6, max_iter: int = 1000
     list order, so runs are deterministic.  Raises ConvergenceError with
     the final residual if max_iter sweeps are not enough.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    try:    # a non-number, or an int past the float range, fails isfinite
+        ok = math.isfinite(tol) and tol > 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if type(max_iter) is not int:
         raise ValueError(f"max_iter must be an int, got {max_iter!r}")
     if max_iter < 1:
@@ -247,8 +251,12 @@ def read_logic(result: RelaxResult, threshold: float = 0.5) -> int:
     Raises UndecidedError when the magnitude does not clear the
     threshold.
     """
-    if not 0 <= threshold < 1:
-        raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
+    try:    # a non-number fails the comparison
+        ok = 0 <= threshold < 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"threshold must lie in [0, 1), got {threshold!r}")
     out = result.output_polarization
     if out > threshold:
         return 1

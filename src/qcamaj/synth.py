@@ -54,12 +54,13 @@ level: not its tables, nor its parent chains.
 
 Among the networks with inverters on inputs that realize a target with
 the fewest majority gates, the result minimizes (gate_count, levels,
-inverter_count) and finally the serialized text.  The scan keeps every
-candidate that ties the best key and settles the tie line by line: it
-advances the tied chains' to_text lines together, made straight from
-each chain, and keeps those whose line is least.  The winner's Network
-is built straight from its chain with NetworkBuilder, in the order the
-lines number its nodes; no whole text is written or parsed back.
+inverter_count) and finally the serialized text.  One walk of a chain,
+_Searcher._walk, numbers its nodes in first-use order and gives each
+node with its to_text line.  The scan keeps every candidate that ties
+the best key and settles the tie line by line: it advances the tied
+chains' walks together and keeps those whose line is least.  The
+winner's Network is the nodes of its walk; no whole text is written or
+parsed back.
 Repeated runs therefore return byte-identical answers.  The tests
 check every three-variable function's minimum majority count against
 the independent search in tests/_oracles.py under two budgets, and
@@ -75,7 +76,8 @@ import threading
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .network import CostReport, Network, NetworkBuilder, cost, format_expr
+from .network import (CONST, INPUT, MAJ3, MAJ5, NOT, CostReport, Network,
+                      Node, cost, format_expr)
 from .truthtable import TruthTable, format_minterms, maj3, maj5, var_table
 
 SYNTH_MAX_VARS = 3
@@ -114,6 +116,13 @@ _NEGS: dict[int, dict[tuple, int]] = {}
 # level together would append it twice without the lock
 _LEVELS: dict[tuple, list] = {}
 _LEVELS_LOCK = threading.Lock()
+# _Searcher._walk's line and node for each constant and input, by base
+# candidate index
+_BASE_NODES = [(f"{kind} {v}", Node(kind, (v,))) for kind, v in
+               [(CONST, 0), (CONST, 1),
+                *((INPUT, i) for i in range(SYNTH_MAX_VARS))]]
+# a gate's arity -> its kind and the format of its line
+_GATE_LINES = {3: (MAJ3, MAJ3 + " %d" * 3), 5: (MAJ5, MAJ5 + " %d" * 5)}
 
 
 class _Chain:
@@ -315,14 +324,17 @@ class _Searcher:
 
     # ---- solution bookkeeping ------------------------------------------
 
-    def _lines(self, gates, root: int):
-        """The node lines, then the output line, of _text(gates, root),
-        each made when it is asked for, for _least's tie-break.  Nodes
-        are numbered in first-use order, the order in which _network
-        interns them.  A gate has 3 or 5 operands, so the 1-tuple
-        (root,) that ends the walk is the output."""
+    def _walk(self, gates, root: int):
+        """The nodes of the chain's network with output `root`, each
+        numbered when it is asked for, in first-use order: gates in chain
+        order, each gate's operands in tuple order, a negated literal's
+        input before its inverter, and the root last.  Each new node
+        yields (line, node), line being its to_text line without the
+        leading id, which also keys a gate against its repeats; the walk
+        ends with ("output <id>", id).  A gate has 3 or 5 operands, so
+        the 1-tuple (root,) that ends the walk is the output."""
         n, nbase = self.n, self.nbase
-        # node ids, keyed by base candidate index or by gate node text
+        # node ids, keyed by base candidate index or by gate line
         ids: dict = {}
         gate_ids: list[int] = []
         for combo in (*gates, (root,)):
@@ -331,41 +343,43 @@ class _Searcher:
                 if ci >= nbase:
                     args.append(gate_ids[ci - nbase])
                     continue
-                # a negated literal's input is numbered before it
-                for x in (ci - n, ci) if ci >= 2 + n else (ci,):
-                    if x not in ids:
-                        ids[x] = i = len(ids)
-                        yield (f"{i} const {x}" if x < 2 else
-                               f"{i} input {x - 2}" if x < 2 + n else
-                               f"{i} not {ids[x - n]}")
-                args.append(ids[ci])
+                i = ids.get(ci)
+                if i is None:
+                    if ci < 2 + n:
+                        yield _BASE_NODES[ci]
+                    else:   # its input is numbered before it
+                        x = ci - n
+                        child = ids.get(x)
+                        if child is None:
+                            yield _BASE_NODES[x]
+                            ids[x] = child = len(ids)
+                        yield f"not {child}", Node(NOT, (child,))
+                    ids[ci] = i = len(ids)
+                args.append(i)
             if len(combo) == 1:
-                yield f"output {args[0]}"
+                yield f"output {args[0]}", args[0]
                 return
-            node = f"maj{len(combo)} " + " ".join(map(str, args))
-            if node not in ids:
-                ids[node] = len(ids)
-                yield f"{ids[node]} {node}"
-            gate_ids.append(ids[node])
-
-    def _text(self, gates, root: int) -> str:
-        """to_text of _network(gates, root), written without building
-        it.  The search writes no whole text; the tests read this one as
-        the reference for _least and _network, and
-        test_chain_text_matches_the_builder pins it to the builder."""
-        return "\n".join([f"network {self.n}", *self._lines(gates, root), ""])
+            kind, form = _GATE_LINES[len(combo)]
+            line = form % tuple(args)
+            if line not in ids:
+                yield line, Node(kind, tuple(args))
+                ids[line] = len(ids)
+            gate_ids.append(ids[line])
 
     def _least(self, chains, root: int):
-        """The chain of min(self._text(c, root) for c in chains), settled
-        line by line: each round advances every chain still tied by one
-        line and keeps those whose line is least.  Every line sorts above
-        the newline that ends the line before it, so line lists order as
-        their texts do.  Once one chain is left, or the least line is the
-        output line (the last, so the survivors' texts are equal), it is
-        the winner; no whole text is written."""
-        alive = [(self._lines(c, root), c) for c in chains]
+        """The chain whose network's to_text is least, settled line by
+        line: each round advances every chain still tied by one step of
+        its walk and keeps those whose line is least.  Every line sorts
+        above the newline that ends the line before it, so line lists
+        order as their texts do.  The walk's lines, without ids, order
+        as to_text's do: in round k each chain yields node k, whose id
+        is k, or its output line, and "output ..." sorts above every
+        node kind with or without an id.  Once one chain is left, or the
+        least line is the output line (the last, so the survivors' texts
+        are equal), it is the winner; no whole text is written."""
+        alive = [(self._walk(c, root), c) for c in chains]
         while len(alive) > 1:
-            heads = [next(lines) for lines, _ in alive]
+            heads = [next(walk)[0] for walk, _ in alive]
             least = min(heads)
             alive = [a for a, h in zip(alive, heads) if h == least]
             if least.startswith("output"):
@@ -374,28 +388,9 @@ class _Searcher:
 
     def _network(self, gates, root: int) -> Network:
         """The network of the chain's operand tuples with output `root`,
-        interned through NetworkBuilder in the order _lines numbers its
-        nodes: gates in chain order, each gate's operands in tuple
-        order, a negated literal's input before its inverter, and the
-        root last."""
-        n, nbase = self.n, self.nbase
-        b = NetworkBuilder(n)
-        gate_ids: list[int] = []
-
-        def node(ci):
-            if ci >= nbase:
-                return gate_ids[ci - nbase]
-            if ci < 2:
-                return b.const(ci)
-            if ci < 2 + n:
-                return b.input(ci - 2)
-            return b.invert(b.input(ci - 2 - n))
-
-        for combo in gates:
-            args = [node(ci) for ci in combo]
-            gate_ids.append(b.maj3(*args) if len(args) == 3
-                            else b.maj5(*args))
-        return b.build(node(root))
+        its nodes as _walk numbers them."""
+        *nodes, (_, output) = self._walk(gates, root)
+        return Network(self.n, tuple(node for _, node in nodes), output)
 
     # ---- the search ------------------------------------------------------
 

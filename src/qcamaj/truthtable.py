@@ -55,10 +55,15 @@ class TruthTable:
 
     def __init__(self, n_vars: int, bits: Sequence[int]):
         _check_table_vars(n_vars)
-        if len(bits) != 1 << n_vars:
+        try:
+            size = len(bits)
+        except TypeError:
+            raise ValueError(f"truth table bits must be a sequence, got "
+                             f"{bits!r}") from None
+        if size != 1 << n_vars:
             raise ValueError(
                 f"expected {1 << n_vars} bits for {n_vars} "
-                f"variables, got {len(bits)}"
+                f"variables, got {size}"
             )
         if any(b not in (0, 1) for b in bits):
             raise ValueError("truth table bits must be 0 or 1")
@@ -80,6 +85,11 @@ class TruthTable:
         _check_table_vars(n_vars)
         size = 1 << n_vars
         table = 0
+        try:
+            minterms = iter(minterms)
+        except TypeError:
+            raise ValueError(f"minterms must be an iterable of ints, got "
+                             f"{minterms!r}") from None
         for m in minterms:
             try:    # a non-int fails the range test or the shift
                 if not 0 <= m < size:

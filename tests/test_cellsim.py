@@ -450,9 +450,11 @@ def test_odd_symmetry_for_arbitrary_drivers(ps):
 
 def test_relax_parameter_validation():
     grid = build_wire(3, 1.0)
-    for tol in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    for tol in (0.0, float("nan"), float("inf"), "1e-6", 10**400):
+        with pytest.raises(ValueError) as raised:
             relax(grid, tol=tol)
+        assert str(raised.value) == (
+            f"tol must be finite and positive, got {tol!r}")
     with pytest.raises(ValueError):
         relax(grid, max_iter=0)
     with pytest.raises(ValueError, match="^max_iter must be an int, got 2.5$"):
@@ -473,10 +475,11 @@ def test_read_logic_threshold_band():
         read_logic(result, threshold=0.99)
     assert exc.value.threshold == 0.99
     assert abs(exc.value.polarization) < 0.99
-    with pytest.raises(ValueError):
-        read_logic(result, threshold=1.0)
-    with pytest.raises(ValueError):
-        read_logic(result, threshold=-0.1)
+    for threshold in (1.0, -0.1, "0.5"):
+        with pytest.raises(ValueError) as raised:
+            read_logic(result, threshold=threshold)
+        assert str(raised.value) == (
+            f"threshold must lie in [0, 1), got {threshold!r}")
 
 
 # exactness against the former coupling build and sweep loop -------------

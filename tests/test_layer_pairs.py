@@ -148,6 +148,13 @@ def test_the_cli_class_2_case_asks_synth_for_each_class_2_target(
     assert warm and [truth_table(net).to_int() for net in nets] == (
         layer_pairs.class_targets()[0])
     assert all(cost(net).levels == 0 for net in nets)
+    # class 3: the tie-heavy path, each target answered with three gates
+    warm, call = plan["synth class 3 warm"]
+    nets = call()
+    assert warm and [truth_table(net).to_int() for net in nets] == (
+        layer_pairs.class_targets()[3])
+    assert all(cost(net).maj3_count + cost(net).maj5_count == 3
+               for net in nets)
 
 
 def test_the_check_requests_cli_cases_run_verify_and_audit_tables(

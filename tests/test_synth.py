@@ -19,7 +19,6 @@ from qcamaj import (
     atlas_to_text,
     cost,
     format_expr,
-    from_text,
     parse_expr,
     synthesize,
     synthesize_all_3var,
@@ -704,7 +703,8 @@ def random_chains(draw, n=st.integers(1, 3), size=st.integers(0, 4)):
 
 @given(random_chains())
 def test_chain_text_matches_the_builder(chain):
-    # _text is the only writer of the text format outside network.py
+    # _walk numbers a chain's nodes for both the tie-break and the
+    # network; the builder is the independent reference
     n, gates, root = chain
     b = NetworkBuilder(n)
     gate_ids = []
@@ -723,8 +723,11 @@ def test_chain_text_matches_the_builder(chain):
         gate_ids.append(b.maj3(*args) if len(args) == 3 else b.maj5(*args))
     net = b.build(resolve(root))
     searcher = _Searcher(n, SearchBudget())
-    assert searcher._text(gates, root) == to_text(net)
-    # the search builds its networks the same way, with no text between
+    *nodes, (output, _) = searcher._walk(gates, root)
+    text = [f"network {n}", *(f"{i} {line}" for i, (line, _) in
+                              enumerate(nodes)), output, ""]
+    assert "\n".join(text) == to_text(net)
+    # the search builds its networks from the same walk
     assert searcher._network(gates, root) == net
 
 
@@ -741,7 +744,7 @@ def test_every_recorded_candidate_has_its_key(monkeypatch):
         key, chains = found[target]
         if prior is None or chains is not prior[1] or len(chains) > size:
             assert chains[-1] == kid.gates + (rows.combos[r],)
-            net = from_text(self._text(chains[-1], self.nbase + level - 1))
+            net = self._network(chains[-1], self.nbase + level - 1)
             c = cost(net)
             assert (c.gate_count, c.levels, c.inverter_count) == key
             assert truth_table(net).to_int() == target
@@ -777,12 +780,17 @@ def tie_lists(draw):
 # to the output line
 @example((1, [((0, 2, 3), (1, 2, 2), (1, 2, 2)),
               ((0, 2, 3), (1, 2, 2), (0, 2, 3))], 6))
+# the same three node lines, then the first chain's output line against
+# the second's fourth node line, in one round: "3 maj3 0 1 2" sorts below
+# "output 2", and so must "maj3 0 1 2" without its id
+@example((1, [((0, 2, 2), (0, 2, 2)), ((0, 2, 2), (0, 2, 4))], 5))
 @given(tie_lists())
 def test_ties_settle_to_the_least_text(ties):
     n, chains, root = ties
     searcher = _Searcher(n, SearchBudget())
-    assert searcher._text(searcher._least(chains, root), root) == min(
-        searcher._text(gates, root) for gates in chains)
+    text = to_text(searcher._network(searcher._least(chains, root), root))
+    assert text == min(to_text(searcher._network(gates, root))
+                       for gates in chains)
 
 
 def test_every_recorded_tie_settles_to_the_least_text(monkeypatch):
@@ -791,8 +799,8 @@ def test_every_recorded_tie_settles_to_the_least_text(monkeypatch):
 
     def checked(self, chains, root):
         got = least(self, chains, root)
-        assert self._text(got, root) == min(
-            self._text(gates, root) for gates in chains)
+        assert to_text(self._network(got, root)) == min(
+            to_text(self._network(gates, root)) for gates in chains)
         sizes.append(len(chains))
         return got
 

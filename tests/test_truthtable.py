@@ -53,6 +53,9 @@ def test_bits_length_must_match_n_vars():
         TruthTable(3, (0, 1))
     with pytest.raises(ValueError):
         TruthTable(3, tuple([0] * 8 + [1]))
+    with pytest.raises(ValueError) as raised:
+        TruthTable(3, 5)
+    assert str(raised.value) == "truth table bits must be a sequence, got 5"
 
 
 def test_bits_must_be_binary():
@@ -91,6 +94,9 @@ def test_minterm_out_of_range_names_the_offender():
         with pytest.raises(ValueError) as raised:
             TruthTable.from_minterms(3, [1, bad])
         assert str(raised.value) == f"minterm must be an int, got {bad!r}"
+    with pytest.raises(ValueError) as raised:
+        TruthTable.from_minterms(3, 5)
+    assert str(raised.value) == "minterms must be an iterable of ints, got 5"
 
 
 def test_eval_rejects_wrong_arity_and_values():

@@ -21,10 +21,11 @@ before each batch.  The cases:
 - table 180 under `SearchBudget(5, 5, False)`, cold;
 - the default atlas (`synthesize_all_3var`), cold;
 - `synthesize` on every target of class 0 (the constants and literals,
-  which no gate makes), of class 1 and of class 2, warm, and on every
-  target of class 3 under `--max-gates 2` (the not-found path), warm; a
-  target's class is its minimum gate count under the default budget,
-  read from `perfbench/ref_counts.json` (`class_targets`);
+  which no gate makes), of class 1, of class 2 and of class 3 (the
+  tie-heavy path), warm, and on every target of class 3 under
+  `--max-gates 2` (the not-found path), warm; a target's class is its
+  minimum gate count under the default budget, read from
+  `perfbench/ref_counts.json` (`class_targets`);
 - `cli.main` on `synth "sum(1,6)" --format records`, warm, on
   `synth <target> --format records` for each of the 120 class-2 targets
   in turn, warm, the in-process shape of a synth-requests median
@@ -173,6 +174,7 @@ def cases(q, argvs) -> dict:
         "synth class 0 warm": (True, synth_class(0)),
         "synth class 1 warm": (True, synth_class(1)),
         "synth class 2 warm": (True, synth_class(2)),
+        "synth class 3 warm": (True, synth_class(3)),
         "synth class 3 --max-gates 2 warm": (
             True, synth_class(3, synth.SearchBudget(max_gates=2))),
         "cli synth sum(1,6)": (True, lambda: cli("synth", "sum(1,6)")),
