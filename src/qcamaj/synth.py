@@ -44,13 +44,19 @@ never on the targets, which only pick the level where the search stops.
 _LEVELS keeps the levels for later calls in the process, each built the
 first time a call reaches it, so the first call under a budget pays for
 the build and the next ones only scan.  It holds one key at a time: a
-call under another key drops the held levels first, so the cache keeps
-no more than one search of that budget allocates (about 1.4 MB for the
-default budget and 4.5 MB for SearchBudget(5, 5, False) by tracemalloc,
-operand tuples included).  A level's row table, its children's table
-bitmaps and its rows' depths are built whole, and growth gives the next
-level new parent chains, so no later call or level writes to a cached
-level: not its tables, nor its parent chains.
+call under another key drops the held levels first.  A level's row
+table, its children's table bitmaps and its rows' depths are built
+whole, and growth gives the next level new parent chains, so no later
+call or level writes a cached level's tables or parent chains; a scan
+only adds complete kids to its level's memo.  That memo, _Rows.kids,
+keeps per parent each child that a scan has offered, with its negated
+literals, from the first call that offers it on, so a warm call reuses
+the kids earlier calls built.  A kid is stored only once it is
+complete, and it is a pure function of its parent and code, so threads
+that build one together store equal kids.  By tracemalloc, operand
+tuples included, the held levels take about 1.3 MB for the default
+budget and 4.5 MB for SearchBudget(5, 5, False) as built, and 3.1 MB
+and 8.7 MB once an atlas has filled their memos.
 
 Among the networks with inverters on inputs that realize a target with
 the fewest majority gates, the result minimizes (gate_count, levels,
@@ -182,8 +188,8 @@ class _Rows:
     """One search level: its number, its groups (each parent chain with
     its children's codes) and its row table, every operand tuple
     evaluated for every parent at once, one byte lane per parent.  It is
-    built whole, and nothing writes to it or to its parent chains once
-    it is built.
+    built whole; after that only the scan writes to it, adding complete
+    kids to kids, and nothing writes to its parent chains.
 
     The children of a parent differ only in their newest gate g.  A row
     whose tuple holds g is the Shannon pair (lo, hi): the tuple's table
@@ -202,7 +208,9 @@ class _Rows:
     its chain's gate depths with g last, to every row's gate depth (a
     byte each), those depths in the high bytes of 16-bit lanes, and the
     mask of the lanes whose gate is shallower than max_levels, for
-    growth.
+    growth.  kids holds, per parent, the children the scan has offered,
+    code -> chain with its negs; it starts empty and keeps each kid for
+    every later call.
     """
 
     def __init__(self, searcher, combos, groups, level):
@@ -234,6 +242,7 @@ class _Rows:
         self.negs = [negs[c] for c in combos]
         self.kid_tables = [sum(1 << t for t in {c & _BYTE for c in codes})
                            for _, codes in groups]
+        self.kids: list[dict[int, _Chain]] = [{} for _ in groups]
         # a child's gates are its parent's, then g at depth 1 to level - 1;
         # level 1's only child is the empty chain
         zeros, cap = (0,) * searcher.nbase, searcher.budget.max_levels
@@ -414,13 +423,14 @@ class _Searcher:
         with T where g matters are looked up by table, probing only the
         tables that both agree and are some child's: one AND of the
         parent's table bitmap with the agreeing tables' bitmap, which
-        each target builds once per mask m.  A child's negated literals
-        are counted once, when the kids memo makes it."""
+        each target builds once per mask m.  A child is built, and its
+        negated literals counted, the first time any call offers it;
+        rows.kids keeps it, stored only once complete, for later calls.
+        Growth builds its own chains, so no kid is ever written again."""
         level, groups = rows.level, rows.groups
         mask, np, negs = self.mask, rows.np, _NEGS[self.n]
         lo_bytes, hi_bytes = rows._bytes
         depth_codes = [d << 8 for d in range(1, level)]
-        kids: dict[tuple, _Chain] = {}
         found: dict[int, tuple] = {}    # target -> (key, tied chains)
         for target in unsolved:
             agree: dict[int, int] = {}      # m -> _agreeing(target, m)
@@ -444,13 +454,15 @@ class _Searcher:
                             hits += [t | d for d in depth_codes
                                      if t | d in codes]
                         codes = hits
+                    kids = rows.kids[i]
                     for c in codes:
-                        kid = kids.get((i, c))
+                        kid = kids.get(c)
                         if kid is None:
-                            kid = kids[i, c] = self._child(p, c)
+                            kid = self._child(p, c)
                             kid.negs = 0
                             for gate in kid.gates:
                                 kid.negs |= negs[gate]
+                            kids[c] = kid   # only once it is complete
                         self._offer(level, kid, rows, r, target, found)
         root = self.nbase + level - 1
         return {t: self._network(self._least(chains, root), root)

@@ -1,8 +1,10 @@
 """Exact synthesis: the minimum majority count against an independent
 search, determinism, budget handling, and the full three-variable atlas."""
 
+import functools
 import hashlib
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -363,6 +365,111 @@ def test_threads_build_each_level_once():
             assert [len(v) for v in synth._LEVELS.values()] == [3]
     finally:
         sys.setswitchinterval(interval)
+
+
+@functools.cache
+def class_targets(budget, gates):
+    """The tables whose fewest majority gates under budget is gates."""
+    return tuple(t for t, e in enumerate(synthesize_all_3var(budget))
+                 if e.network is not None
+                 and e.cost.maj3_count + e.cost.maj5_count == gates)
+
+
+def cold_texts(targets, budget=None):
+    """Each target's answer, each on levels built for it alone."""
+    out = []
+    for t in targets:
+        synth._LEVELS.clear()
+        out.append(to_text(synthesize(TruthTable.from_int(3, t), budget)))
+    return out
+
+
+def assert_memos_exact(levels, budget):
+    """Every kid a level keeps is its parent's child by its code, as a
+    fresh _child builds it, with its negated literals and no codes;
+    returns how many there are."""
+    searcher, negs = _Searcher(3, budget), synth._NEGS[3]
+    count = 0
+    for rows in levels:
+        assert len(rows.kids) == len(rows.groups)
+        for (p, codes), kids in zip(rows.groups, rows.kids):
+            # a kid's key is a code of its group, so a memo never holds
+            # more than its level's children
+            assert kids.keys() <= codes.keys()
+            for c, kid in kids.items():
+                fresh = searcher._child(p, c)
+                assert (kid.gates, kid.tables, kid.depths) == (
+                    fresh.gates, fresh.tables, fresh.depths)
+                assert kid.negs == functools.reduce(
+                    operator.or_, [negs[g] for g in kid.gates], 0)
+                assert kid.codes == b""     # growth never wrote to it
+                count += 1
+    return count
+
+
+def test_full_memos_answer_as_a_cold_search(monkeypatch):
+    # an atlas scans every level for every target it has not solved, so
+    # it offers each kid that a class-3 target's own scans offer; a warm
+    # call after it builds no chain and answers as a cold search does
+    for budget in (SearchBudget(), SearchBudget(5, 5, False)):
+        targets = class_targets(budget, 3)
+        synth._LEVELS.clear()
+        synthesize_all_3var(budget)
+        [levels] = synth._LEVELS.values()
+        assert assert_memos_exact(levels, budget) > 1000
+        child, built = _Searcher._child, []
+        with monkeypatch.context() as m:
+            m.setattr(_Searcher, "_child",
+                      lambda self, p, c: built.append(c) or child(self, p, c))
+            warm = [to_text(synthesize(TruthTable.from_int(3, t), budget))
+                    for t in targets]
+        assert built == [] and len(targets) > 8
+        assert warm == cold_texts(targets, budget)
+
+
+def test_threads_that_share_a_memo_get_their_serial_answers():
+    # threads scanning the same levels for different targets build and
+    # store kids at once, more threads than cores
+    targets = class_targets(SearchBudget(), 3)[::4]
+    assert len(targets) == 8
+    want = cold_texts(targets)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            synth._LEVELS.clear()
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(
+                    lambda t: to_text(synthesize(TruthTable.from_int(3, t))),
+                    targets, timeout=60))
+            assert got == want
+            [levels] = synth._LEVELS.values()
+            assert assert_memos_exact(levels, SearchBudget()) > 0
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("budget", list(BY_CLASS))
+def test_every_memo_entry_is_its_fresh_kid(budget):
+    synth._LEVELS.clear()
+    for t in class_targets(budget, 3):
+        synthesize(TruthTable.from_int(3, t), budget)
+    [levels] = synth._LEVELS.values()
+    # only a scan that solves a target offers kids, and only level 3
+    # solves a class-3 target
+    assert [any(rows.kids) for rows in levels] == [False, False, True]
+    assert assert_memos_exact(levels, budget) > 100
+
+
+@pytest.mark.parametrize("allow_maj5, depth", [(True, 3), (False, 4)])
+def test_a_boundless_budget_ends_within_its_work_cap(allow_maj5, depth):
+    # with three variables every function has a network of at most four
+    # gates, so a budget of 100 gates and levels builds few levels
+    synth._LEVELS.clear()
+    atlas = synthesize_all_3var(SearchBudget(100, 100, allow_maj5))
+    assert all(e.network is not None for e in atlas)
+    [levels] = synth._LEVELS.values()
+    assert len(levels) == depth
 
 
 def test_import_builds_no_levels():
