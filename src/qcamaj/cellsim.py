@@ -75,8 +75,13 @@ _STEPS = {
 
 def _polarization(rho: Sequence[float], plus: tuple[int, ...],
                   n_dots: int) -> float:
-    if len(rho) != n_dots:
-        raise ChargeError(f"expected {n_dots} dot charges, got {len(rho)}")
+    try:
+        count = len(rho)
+    except TypeError:
+        raise ChargeError(f"dot charges must be a sequence, got "
+                          f"{rho!r}") from None
+    if count != n_dots:
+        raise ChargeError(f"expected {n_dots} dot charges, got {count}")
     if not all(isinstance(r, numbers.Real) and 0 <= r < math.inf
                for r in rho):
         raise ChargeError(f"dot charges must lie in [0, inf): {tuple(rho)}")
@@ -165,7 +170,11 @@ class CellGrid:
     """A fixed arrangement of cells with geometry-derived couplings."""
 
     def __init__(self, cells: Sequence[Cell]):
-        cells = tuple(cells)
+        try:
+            cells = tuple(cells)
+        except TypeError:
+            raise ValueError(f"cells must be an iterable of Cell, got "
+                             f"{cells!r}") from None
         index, self.output_index = _checked_index(cells)
         self.cells = cells
         axes = list(zip(*index))    # per coordinate, in cell order

@@ -106,10 +106,14 @@ def _parse(text: str, names: list[str], builder: NetworkBuilder) -> int:
     Nodes are made in the order a token-by-token read makes them.
     Positions are worked out only for an error.
     """
-    if "\0" in text:
-        _tokenize(text)         # raises: "\0" is a bad character
-    parts = (text.replace("(", "\0(\0").replace(",", "\0,\0")
-             .replace(")", "\0)\0").split("\0"))
+    try:    # a non-str fails the "in" test or a str method
+        if "\0" in text:
+            _tokenize(text)     # raises: "\0" is a bad character
+        parts = (text.replace("(", "\0(\0").replace(",", "\0,\0")
+                 .replace(")", "\0)\0").split("\0"))
+    except (TypeError, AttributeError):
+        raise ValueError(f"expression text must be a str, got "
+                         f"{text!r}") from None
     index = {name: k for k, name in enumerate(names)}
     tokens = {}                 # piece -> its token texts
     gates = {}                  # gate name piece -> (its node maker, arity)
@@ -256,6 +260,10 @@ def parse_expr(text: str, variable_names) -> Network:
     Identical subexpressions share one node in the result, so the cost
     census of the parsed network never double-counts a repeated subterm.
     """
-    names = list(variable_names)
+    try:
+        names = list(variable_names)
+    except TypeError:
+        raise ValueError(f"variable names must be an iterable, got "
+                         f"{variable_names!r}") from None
     builder = NetworkBuilder(len(names))
     return builder.build(parse_into(builder, text, names))

@@ -266,7 +266,11 @@ def check_names(names, n_vars: int) -> list[str]:
         if n_vars > 26:
             raise CapacityError("default names cover at most 26 variables")
         return [chr(ord("A") + i) for i in range(n_vars)]
-    names = list(names)
+    try:
+        names = list(names)
+    except TypeError:
+        raise ValueError(f"variable names must be an iterable, got "
+                         f"{names!r}") from None
     for name in names:
         if (not isinstance(name, str) or not _NAME_CHARS.fullmatch(name)
                 or not is_name_start(name[0])):
@@ -391,7 +395,11 @@ def from_text(text: str) -> Network:
     space must be written as to_text writes it: one ASCII space between
     words, a bare newline after each line and no other whitespace.
     Empty lines are skipped."""
-    lines = [ln for ln in text.split("\n") if ln]
+    try:
+        lines = [ln for ln in text.split("\n") if ln]
+    except (TypeError, AttributeError):
+        raise ValueError(f"serialized network must be a str, got "
+                         f"{text!r}") from None
     if not lines or not lines[0].startswith("network "):
         raise ValueError("serialized network must start with 'network <n>'")
     n_vars = _number(lines[0].removeprefix("network "), "header", lines[0])

@@ -46,17 +46,17 @@ first time a call reaches it, so the first call under a budget pays for
 the build and the next ones only scan.  It holds one key at a time: a
 call under another key drops the held levels first.  A level's row
 table, its children's table bitmaps and its rows' depths are built
-whole, and growth gives the next level new parent chains, so no later
-call or level writes a cached level's tables or parent chains; a scan
-only adds complete kids to its level's memo.  That memo, _Rows.kids,
-keeps per parent each child that a scan has offered, with its negated
-literals, from the first call that offers it on, so a warm call reuses
-the kids earlier calls built.  A kid is stored only once it is
-complete, and it is a pure function of its parent and code, so threads
-that build one together store equal kids.  By tracemalloc, operand
-tuples included, the held levels take about 1.3 MB for the default
-budget and 4.5 MB for SearchBudget(5, 5, False) as built, and 3.1 MB
-and 8.7 MB once an atlas has filled their memos.
+whole.  A chain is complete when built, its negated literals from its
+parent and its growth rows' codes from the growth that builds it, and
+nothing writes to it after; so no later call or level writes a cached
+level's tables or chains, and a scan only adds kids to its level's
+memo.  That memo, _Rows.kids, keeps per parent each child that a scan
+has offered, from the first call that offers it on, so a warm call
+reuses the kids earlier calls built.  A kid depends only on its parent
+and code, so threads that build one together store equal kids.  By
+tracemalloc, operand tuples included, the held levels take about 1.3 MB
+for the default budget and 4.5 MB for SearchBudget(5, 5, False) as
+built, and 3.1 MB and 8.7 MB once an atlas has filled their memos.
 
 Among the networks with inverters on inputs that realize a target with
 the fewest majority gates, the result minimizes (gate_count, levels,
@@ -133,18 +133,19 @@ _GATE_LINES = {3: (MAJ3, MAJ3 + " %d" * 3), 5: (MAJ5, MAJ5 + " %d" * 5)}
 
 class _Chain:
     """A search state: a chain of gates, held as their operand tuples,
-    tables and depths.  A gate's code is its table | depth << 8; `codes`
-    holds the code each of the chain's growth rows makes, two bytes per
-    row, little-endian on every host, and the operand tuple of a child's
-    newest gate is the first row with its code.  A chain the scan offers
-    also gets `negs`, the bitmask of the negated literals its gates use
-    (bit x for candidate x)."""
+    tables and depths, and `negs`, the bitmask of the negated literals
+    its gates use (bit x for candidate x).  A gate's code is its table |
+    depth << 8; `codes` holds the code each of the chain's growth rows
+    makes, two bytes per row, little-endian on every host, and the
+    operand tuple of a child's newest gate is the first row with its
+    code; a chain that is never grown has none.  A chain is complete
+    when built, and nothing writes to it after."""
 
-    __slots__ = ("gates", "tables", "depths", "codes", "negs")
+    __slots__ = ("gates", "tables", "depths", "negs", "codes")
 
-    def __init__(self, gates, tables, depths):
+    def __init__(self, gates, tables, depths, negs, codes=b""):
         self.gates, self.tables, self.depths = gates, tables, depths
-        self.codes = b""
+        self.negs, self.codes = negs, codes
 
     def profile(self) -> frozenset:
         return frozenset(t | d << 8 for t, d in zip(self.tables, self.depths))
@@ -188,8 +189,8 @@ class _Rows:
     """One search level: its number, its groups (each parent chain with
     its children's codes) and its row table, every operand tuple
     evaluated for every parent at once, one byte lane per parent.  It is
-    built whole; after that only the scan writes to it, adding complete
-    kids to kids, and nothing writes to its parent chains.
+    built whole; after that only the scan writes to it, adding kids to
+    kids.
 
     The children of a parent differ only in their newest gate g.  A row
     whose tuple holds g is the Shannon pair (lo, hi): the tuple's table
@@ -209,8 +210,8 @@ class _Rows:
     byte each), those depths in the high bytes of 16-bit lanes, and the
     mask of the lanes whose gate is shallower than max_levels, for
     growth.  kids holds, per parent, the children the scan has offered,
-    code -> chain with its negs; it starts empty and keeps each kid for
-    every later call.
+    code -> chain; it starts empty and keeps each kid for every later
+    call.
     """
 
     def __init__(self, searcher, combos, groups, level):
@@ -403,16 +404,18 @@ class _Searcher:
 
     # ---- the search ------------------------------------------------------
 
-    def _child(self, p, c) -> _Chain:
-        """A new chain: parent p's child whose newest gate has code c.
-        Code 0, which no gate has, adds none, so its chain is a copy of
-        p and growth writes the next level's codes to the copy."""
+    def _child(self, p, c, codes=b"") -> _Chain:
+        """A new chain: parent p's child whose newest gate has code c,
+        with its growth rows' codes.  Its negated literals are p's and
+        its newest gate's.  Code 0, which no gate has, adds none, so its
+        chain is a copy of p."""
         if not c:
-            return _Chain(p.gates, p.tables, p.depths)
+            return _Chain(p.gates, p.tables, p.depths, p.negs, codes)
         combo = self._combos(self.nbase + len(p.gates))[
             _first_row(p.codes, c)]
         return _Chain(p.gates + (combo,), p.tables + (c & _BYTE,),
-                      p.depths + (c >> 8,))
+                      p.depths + (c >> 8,), p.negs | _NEGS[self.n][combo],
+                      codes)
 
     def _scan(self, rows, unsolved):
         """The best network per target that a gate of level rows solves.
@@ -423,12 +426,12 @@ class _Searcher:
         with T where g matters are looked up by table, probing only the
         tables that both agree and are some child's: one AND of the
         parent's table bitmap with the agreeing tables' bitmap, which
-        each target builds once per mask m.  A child is built, and its
-        negated literals counted, the first time any call offers it;
-        rows.kids keeps it, stored only once complete, for later calls.
-        Growth builds its own chains, so no kid is ever written again."""
+        each target builds once per mask m.  A child is built the first
+        time any call offers it, and rows.kids keeps it for later calls.
+        A kid is complete when built and depends only on its parent and
+        code, so threads that race to build it store equal kids."""
         level, groups = rows.level, rows.groups
-        mask, np, negs = self.mask, rows.np, _NEGS[self.n]
+        mask, np = self.mask, rows.np
         lo_bytes, hi_bytes = rows._bytes
         depth_codes = [d << 8 for d in range(1, level)]
         found: dict[int, tuple] = {}    # target -> (key, tied chains)
@@ -458,11 +461,7 @@ class _Searcher:
                     for c in codes:
                         kid = kids.get(c)
                         if kid is None:
-                            kid = self._child(p, c)
-                            kid.negs = 0
-                            for gate in kid.gates:
-                                kid.negs |= negs[gate]
-                            kids[c] = kid   # only once it is complete
+                            kid = kids[c] = self._child(p, c)
                         self._offer(level, kid, rows, r, target, found)
         root = self.nbase + level - 1
         return {t: self._network(self._least(chains, root), root)
@@ -512,9 +511,9 @@ class _Searcher:
                                      for d in depth_range])
             bits = sum(bit[x] for x in profiles[i])
             for k, c in enumerate(kids):
-                kid = self._child(p, c)
                 t = c & _BYTE
-                _, deep, keep = rows.depths[kid.depths]
+                _, deep, keep = rows.depths[p.depths + (c >> 8,) if c
+                                            else p.depths]
                 codes = ((t * ones & hi | lo | deep) & keep).to_bytes(
                     2 * count, "little")
                 fresh = dict.fromkeys(unpack(codes))
@@ -538,8 +537,7 @@ class _Searcher:
                         else:
                             seen.add(key)
                 if fresh:
-                    kid.codes = codes
-                    out.append((kid, fresh))
+                    out.append((self._child(p, c, codes), fresh))
         return out
 
     def run(self, targets: set[int]) -> dict[int, Network]:
@@ -587,7 +585,7 @@ class _Searcher:
                 # states in groups of one parent's children, each child a
                 # code; level 1 has one state, the empty chain
                 groups = (self._grow(levels[-1]) if levels
-                          else [(_Chain((), (), ()), {0: None})])
+                          else [(_Chain((), (), (), 0), {0: None})])
                 combos = self._combos(self.nbase + k - 1)
                 levels.append(_Rows(self, combos, groups, k))
             return levels[level - 1]

@@ -144,9 +144,13 @@ class TruthTable:
 
 def check_row(assignment: Sequence[int], n_vars: int) -> list[int]:
     """The assignment as ints, checked to hold n_vars values, each 0 or 1."""
-    if len(assignment) != n_vars:
-        raise ArityError(
-            f"assignment has {len(assignment)} values, expected {n_vars}")
+    try:
+        size = len(assignment)
+    except TypeError:
+        raise ValueError(f"assignment must be a sequence, got "
+                         f"{assignment!r}") from None
+    if size != n_vars:
+        raise ArityError(f"assignment has {size} values, expected {n_vars}")
     for v in assignment:
         if v not in (0, 1):
             raise ValueError(f"assignment values must be 0 or 1, got {v!r}")
@@ -183,9 +187,13 @@ def parse_minterm_spec(text: str) -> frozenset[int]:
     """Parse minterm-set text of the form ``sum(3,4,5,6,7)``.
 
     The keyword is case-insensitive and whitespace is ignored anywhere.
-    ``sum()`` denotes the empty set.  Raises ParseError on anything else.
+    ``sum()`` denotes the empty set.  Raises ParseError on any other
+    text, and ValueError on a text that is no str.
     """
-    stripped = "".join(text.split())
+    try:
+        stripped = "".join(text.split())
+    except (TypeError, AttributeError):
+        raise ValueError(f"minterm set must be a str, got {text!r}") from None
     end = _SPEC_PREFIX_RE.match(stripped).end()
     if end < len(stripped) or not stripped.endswith(")"):
         # offset in `text` of the first character that breaks the shape
@@ -227,4 +235,9 @@ def _short_indices(text: str, parts: list[str]) -> list[str]:
 
 def format_minterms(minterms: Iterable[int]) -> str:
     """Render a minterm set in the ``sum(...)`` text form, ascending."""
-    return "sum(" + ",".join(str(m) for m in sorted(set(minterms))) + ")"
+    try:
+        ordered = sorted(set(minterms))
+    except TypeError:
+        raise ValueError(f"minterms must be an iterable of ints, got "
+                         f"{minterms!r}") from None
+    return "sum(" + ",".join(str(m) for m in ordered) + ")"

@@ -8,8 +8,6 @@ import itertools
 import shlex
 import time
 
-import pytest
-
 from qcamaj import (
     SearchBudget,
     TruthTable,
@@ -27,7 +25,6 @@ from qcamaj import (
     relax,
     synthesize_all_3var,
     audit_entries,
-    truth_table,
     verify,
 )
 from qcamaj.cli import main

@@ -87,6 +87,10 @@ def test_charge_state_validation():
         ChargeState8((1, 0, 1, 0, 0, 1, 0, math.nan)).polarization()
     with pytest.raises(ChargeError, match="must lie in"):
         ChargeState4(("a", 1, 1, 1)).polarization()
+    for state in (ChargeState4, ChargeState8):
+        with pytest.raises(ChargeError) as raised:
+            state(5).polarization()
+        assert str(raised.value) == "dot charges must be a sequence, got 5"
 
 
 # geometry and couplings ------------------------------------------------
@@ -112,6 +116,9 @@ def test_coupling_rule_depends_only_on_geometry():
 def test_grid_validation():
     with pytest.raises(ValueError):
         CellGrid([])
+    with pytest.raises(ValueError) as raised:
+        CellGrid(5)
+    assert str(raised.value) == "cells must be an iterable of Cell, got 5"
     with pytest.raises(ValueError):
         CellGrid([Cell((0,), OUTPUT)])                      # 1D
     with pytest.raises(ValueError):

@@ -89,6 +89,14 @@ def test_malformed_text_raises_with_position():
         with pytest.raises(ParseError) as exc:
             parse_expr(text, NAMES)
         assert exc.value.position == pos, text
+    # a text that is no str has no positions
+    for text in (123, b"A"):
+        for parse in (lambda: parse_expr(text, NAMES),
+                      lambda: parse_into(NetworkBuilder(3), text, NAMES)):
+            with pytest.raises(ValueError) as raised:
+                parse()
+            assert str(raised.value) == (
+                f"expression text must be a str, got {text!r}")
 
 
 def test_deep_nesting_parses_without_recursion():
@@ -281,6 +289,9 @@ def test_duplicate_or_empty_variable_names_rejected():
         parse_expr("A", ("A", "A"))
     with pytest.raises(ValueError):
         parse_expr("A", ())
+    with pytest.raises(ValueError) as raised:
+        parse_expr("A", 5)
+    assert str(raised.value) == "variable names must be an iterable, got 5"
 
 
 def test_format_parse_round_trip():
@@ -324,9 +335,10 @@ def test_parse_into_needs_one_name_per_builder_variable():
 
 
 def test_parse_into_rejects_duplicate_names_as_parse_expr_does():
-    with pytest.raises(ValueError) as into:
-        parse_into(NetworkBuilder(2), "A", ("A", "A"))
-    with pytest.raises(ValueError) as whole:
-        parse_expr("A", ("A", "A"))
-    assert type(into.value) is type(whole.value)
-    assert str(into.value) == str(whole.value)
+    for names in (("A", "A"), 5):
+        with pytest.raises(ValueError) as into:
+            parse_into(NetworkBuilder(2), "A", names)
+        with pytest.raises(ValueError) as whole:
+            parse_expr("A", names)
+        assert type(into.value) is type(whole.value)
+        assert str(into.value) == str(whole.value)

@@ -249,6 +249,9 @@ def test_order_note_spells_out_convention():
                     "minterm bit")
     with pytest.raises(CapacityError):
         order_note(27)  # past the 26 default names
+    with pytest.raises(ValueError) as raised:
+        order_note(3, 5)
+    assert str(raised.value) == "variable names must be an iterable, got 5"
 
 
 def test_truth_table_capacity_ceiling():
@@ -300,6 +303,11 @@ def test_from_text_rejects_malformed_input():
                 "network 1\u20280 input 0\u2028output 0"]:
         with pytest.raises(ValueError):
             from_text(bad)
+    for bad in (5, b"network 1\n0 input 0\noutput 0\n"):
+        with pytest.raises(ValueError) as raised:
+            from_text(bad)
+        assert str(raised.value) == (
+            f"serialized network must be a str, got {bad!r}")
 
 
 @st.composite
@@ -460,11 +468,13 @@ def test_names_are_accepted_exactly_when_the_text_reads_them_back(net, names):
 def test_format_expr_refuses_names_parse_expr_refuses():
     net = parse_expr("M(A,B,C)", NAMES)
     for names in (["X", "X", "Y"], ["0", "B", "C"], ["A'", "B", "C"],
-                  ["A B", "C", "D"], [1, "B", "C"]):
+                  ["A B", "C", "D"], [1, "B", "C"], 5):
         with pytest.raises(ValueError):
             parse_expr("M(X,B,C)", names)
         with pytest.raises(ValueError):
             format_expr(net, names)
+        with pytest.raises(ValueError):
+            verify(net, truth_table(net), names)
 
 
 def test_table_lookup_and_pointwise_evaluation_check_rows_alike():
@@ -476,6 +486,10 @@ def test_table_lookup_and_pointwise_evaluation_check_rows_alike():
     # B is read by no node, and is still checked
     with pytest.raises(ValueError):
         evaluate(parse_expr("M(A,A,C)", NAMES), (1, 2, 1))
+    for check in (lambda: evaluate(net, 5), lambda: truth_table(net).eval(5)):
+        with pytest.raises(ValueError) as raised:
+            check()
+        assert str(raised.value) == "assignment must be a sequence, got 5"
 
 
 def test_format_expr_refuses_text_past_the_cap():

@@ -1,5 +1,6 @@
 """The sources parse under the oldest Python that pyproject.toml claims,
-and the package keeps no private module-level name it never uses."""
+the package keeps no private module-level name it never uses, and no
+source imports a name it never uses."""
 
 import ast
 import io
@@ -45,3 +46,34 @@ def test_every_private_module_name_is_used():
                if name.startswith("_") and not name.startswith("__")}
     assert len(private) > 10
     assert [name for name in sorted(private) if counts[name] < 2] == []
+
+
+def test_every_imported_name_is_used():
+    # the project has no linter: an import is used when its name is read
+    # as a name (ast.Name, so a name read only in an f-string counts) or
+    # listed in __all__; "from __future__" imports change the compiler
+    paths = sorted([*ROOT.glob("src/qcamaj/*.py"), *ROOT.glob("tools/*.py"),
+                    *ROOT.glob("tests/*.py")])
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert len(paths) > 20
+    assert unused == []

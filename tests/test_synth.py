@@ -386,13 +386,20 @@ def cold_texts(targets, budget=None):
 
 def assert_memos_exact(levels, budget):
     """Every kid a level keeps is its parent's child by its code, as a
-    fresh _child builds it, with its negated literals and no codes;
-    returns how many there are."""
+    fresh _child builds it, with its negated literals and no codes, and
+    every parent chain holds its own negated literals; returns how many
+    kids there are."""
     searcher, negs = _Searcher(3, budget), synth._NEGS[3]
+
+    def negated(chain):
+        return functools.reduce(operator.or_,
+                                [negs[g] for g in chain.gates], 0)
+
     count = 0
     for rows in levels:
         assert len(rows.kids) == len(rows.groups)
         for (p, codes), kids in zip(rows.groups, rows.kids):
+            assert p.negs == negated(p)
             # a kid's key is a code of its group, so a memo never holds
             # more than its level's children
             assert kids.keys() <= codes.keys()
@@ -400,8 +407,7 @@ def assert_memos_exact(levels, budget):
                 fresh = searcher._child(p, c)
                 assert (kid.gates, kid.tables, kid.depths) == (
                     fresh.gates, fresh.tables, fresh.depths)
-                assert kid.negs == functools.reduce(
-                    operator.or_, [negs[g] for g in kid.gates], 0)
+                assert kid.negs == negated(kid)
                 assert kid.codes == b""     # growth never wrote to it
                 count += 1
     return count

@@ -105,6 +105,9 @@ def test_eval_rejects_wrong_arity_and_values():
         tt.eval((0,))
     with pytest.raises(ValueError):
         tt.eval((0, 2))
+    with pytest.raises(ValueError) as raised:
+        tt.eval(5)
+    assert str(raised.value) == "assignment must be a sequence, got 5"
 
 
 def test_parse_minterm_spec_basic():
@@ -121,6 +124,10 @@ def test_parse_minterm_spec_rejects_garbage():
                 "sum(1)(", "sum(a)"]:
         with pytest.raises(ParseError):
             parse_minterm_spec(bad)
+    for bad in (None, b"sum(1)"):
+        with pytest.raises(ValueError) as raised:
+            parse_minterm_spec(bad)
+        assert str(raised.value) == f"minterm set must be a str, got {bad!r}"
 
 
 def test_parse_error_carries_position():
@@ -184,6 +191,11 @@ def test_arbitrary_minterm_text_parses_or_points_at_its_break(text):
 def test_format_minterms_sorted():
     assert format_minterms({5, 1, 3}) == "sum(1,3,5)"
     assert format_minterms(set()) == "sum()"
+    for bad in (5, ["a", 1]):
+        with pytest.raises(ValueError) as raised:
+            format_minterms(bad)
+        assert str(raised.value) == (
+            f"minterms must be an iterable of ints, got {bad!r}")
 
 
 # (n_vars, minterm set) pairs over every supported width
