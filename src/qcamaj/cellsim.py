@@ -88,7 +88,11 @@ def _polarization(rho: Sequence[float], plus: tuple[int, ...],
     total = sum(rho)
     if total == 0:
         raise ChargeError("degenerate charge state, all dots are zero")
-    pos = sum(rho[i] for i in plus)
+    try:
+        pos = sum(rho[i] for i in plus)
+    except TypeError:   # sized and iterable, but not indexed
+        raise ChargeError(f"dot charges must be a sequence, got "
+                          f"{rho!r}") from None
     return (pos - (total - pos)) / total
 
 

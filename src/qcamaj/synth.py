@@ -43,20 +43,33 @@ the row table.  It depends only on (n_vars, allow_maj5, max_levels),
 never on the targets, which only pick the level where the search stops.
 _LEVELS keeps the levels for later calls in the process, each built the
 first time a call reaches it, so the first call under a budget pays for
-the build and the next ones only scan.  It holds one key at a time: a
-call under another key drops the held levels first.  A level's row
-table, its children's table bitmaps and its rows' depths are built
-whole.  A chain is complete when built, its negated literals from its
-parent and its growth rows' codes from the growth that builds it, and
-nothing writes to it after; so no later call or level writes a cached
-level's tables or chains, and a scan only adds kids to its level's
-memo.  That memo, _Rows.kids, keeps per parent each child that a scan
-has offered, from the first call that offers it on, so a warm call
+the build and the next ones scan only for targets no call has settled
+(see below).  It holds one key at a time: a call under another key
+drops the held levels first.  A level's row table, its children's table
+bitmaps and its rows' depths are built whole.  A chain is complete when
+built, its negated literals from its parent and its growth rows' codes
+from the growth that builds it, and nothing writes to it after; so no
+later call or level writes a cached level's tables or chains, and a
+scan only adds kids to its level's memo and its answers to its memo of
+answers.  The kids memo, _Rows.kids, keeps per parent each child that a
+scan has offered, from the first call that offers it on, so a scan
 reuses the kids earlier calls built.  A kid depends only on its parent
-and code, so threads that build one together store equal kids.  By
-tracemalloc, operand tuples included, the held levels take about 1.3 MB
-for the default budget and 4.5 MB for SearchBudget(5, 5, False) as
-built, and 3.1 MB and 8.7 MB once an atlas has filled their memos.
+and code, so threads that build one together store equal kids.  The
+answers memo, _Rows.answers, maps each target a scan of the level has
+settled to the network it found, or to None where no gate of the level
+makes the target; a call scans a level only for the unsolved targets
+it holds no answer for, so a repeated target costs one lookup per
+level, under any max_gates and for an atlas and single calls alike.
+That is exact: the scan settles each target on its own (its
+candidates, its ties and their least text do not depend on the other
+targets), and a level depends only on its key.  A Network is
+immutable, so every call may get the same one, and threads that scan
+one target together store equal answers.  By tracemalloc, operand
+tuples included, the held levels take about 1.3 MB for the default
+budget and 4.5 MB for SearchBudget(5, 5, False) as built, and 3.1 MB
+and 8.7 MB once an atlas has filled their kids memos; the atlas's
+answers add about 180 KB (248, 152 and 32 answers on levels 1 to 3)
+and 230 KB.
 
 Among the networks with inverters on inputs that realize a target with
 the fewest majority gates, the result minimizes (gate_count, levels,
@@ -189,8 +202,8 @@ class _Rows:
     """One search level: its number, its groups (each parent chain with
     its children's codes) and its row table, every operand tuple
     evaluated for every parent at once, one byte lane per parent.  It is
-    built whole; after that only the scan writes to it, adding kids to
-    kids.
+    built whole; after that only the search writes to it, adding kids
+    to kids and answers to answers.
 
     The children of a parent differ only in their newest gate g.  A row
     whose tuple holds g is the Shannon pair (lo, hi): the tuple's table
@@ -211,7 +224,10 @@ class _Rows:
     mask of the lanes whose gate is shallower than max_levels, for
     growth.  kids holds, per parent, the children the scan has offered,
     code -> chain; it starts empty and keeps each kid for every later
-    call.
+    call.  answers maps each target a scan of the level has settled to
+    its network, or to None where no gate of the level makes it; it
+    starts empty, and a call scans only the targets it lacks, so the
+    kids serve a target's first visit and answers every later one.
     """
 
     def __init__(self, searcher, combos, groups, level):
@@ -244,6 +260,7 @@ class _Rows:
         self.kid_tables = [sum(1 << t for t in {c & _BYTE for c in codes})
                            for _, codes in groups]
         self.kids: list[dict[int, _Chain]] = [{} for _ in groups]
+        self.answers: dict[int, Network | None] = {}
         # a child's gates are its parent's, then g at depth 1 to level - 1;
         # level 1's only child is the empty chain
         zeros, cap = (0,) * searcher.nbase, searcher.budget.max_levels
@@ -567,8 +584,17 @@ class _Searcher:
         for level in range(1, top + 1):
             if not unsolved:
                 break
-            solutions.update(self._scan(self._level(level), unsolved))
-            unsolved.difference_update(solutions)
+            # a level's answer to a target is the same in every call, so
+            # only targets it has not settled yet are scanned
+            rows = self._level(level)
+            answers = rows.answers
+            fresh = unsolved.difference(answers)
+            if fresh:
+                answers.update(dict.fromkeys(fresh) | self._scan(rows, fresh))
+            solved = {t: net for t in unsolved
+                      if (net := answers[t]) is not None}
+            solutions.update(solved)
+            unsolved.difference_update(solved)
         return solutions
 
     def _level(self, level: int) -> _Rows:

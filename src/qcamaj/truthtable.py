@@ -16,6 +16,7 @@ way, and synth packs tables into byte lanes, one per parent chain.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from itertools import compress, count
@@ -235,9 +236,9 @@ def _short_indices(text: str, parts: list[str]) -> list[str]:
 
 def format_minterms(minterms: Iterable[int]) -> str:
     """Render a minterm set in the ``sum(...)`` text form, ascending."""
-    try:
-        ordered = sorted(set(minterms))
+    try:    # a non-int fails the sort or operator.index, as a bool passes
+        return "sum(" + ",".join(
+            map(str, map(operator.index, sorted(set(minterms))))) + ")"
     except TypeError:
         raise ValueError(f"minterms must be an iterable of ints, got "
                          f"{minterms!r}") from None
-    return "sum(" + ",".join(str(m) for m in ordered) + ")"

@@ -91,6 +91,11 @@ def test_charge_state_validation():
         with pytest.raises(ChargeError) as raised:
             state(5).polarization()
         assert str(raised.value) == "dot charges must be a sequence, got 5"
+    # sized and iterable, but not indexed
+    with pytest.raises(ChargeError) as raised:
+        ChargeState4({1, 2, 3, 4}).polarization()
+    assert str(raised.value) == (
+        "dot charges must be a sequence, got {1, 2, 3, 4}")
 
 
 # geometry and couplings ------------------------------------------------

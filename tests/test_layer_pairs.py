@@ -124,6 +124,36 @@ def test_a_cold_batch_clears_the_cache_before_each_call():
     assert seen == [1, 2, 3, 4]
 
 
+def test_a_reset_runs_before_each_timed_call():
+    q = types.SimpleNamespace(synth=types.SimpleNamespace(_LEVELS={}))
+    seen = []
+    layer_pairs.time_batch(q, True, lambda: seen.append("call"), 2,
+                           lambda: seen.append("reset"))
+    assert seen == ["call", "reset", "call", "reset", "call"]
+
+
+def test_the_first_visit_case_scans_class_3_again(monkeypatch):
+    plan = layer_pairs.cases(qcamaj, [])
+    warm, call, reset = plan["synth class 3 first visit"]
+    assert warm and plan["synth class 3 warm"][0]
+    qcamaj.synth._LEVELS.clear()
+    call()
+    [levels] = qcamaj.synth._LEVELS.values()
+    assert all(rows.answers for rows in levels)
+    # a reset empties every held level's answers and keeps its kids
+    reset()
+    assert not any(rows.answers for rows in levels)
+    assert any(rows.kids for rows in levels)
+    nets = call()
+    assert [truth_table(net).to_int() for net in nets] == (
+        layer_pairs.class_targets()[3])
+    assert all(rows.answers for rows in levels)
+    # levels that keep no answers leave a reset nothing to do
+    monkeypatch.setattr(qcamaj.synth, "_LEVELS",
+                        {"key": [types.SimpleNamespace()]})
+    reset()
+
+
 def test_class_cases_hold_every_target_of_their_class():
     # the default budget's minimum gate counts: 8 targets need no gate
     sizes = {c: len(t) for c, t in layer_pairs.class_targets().items()}

@@ -467,6 +467,73 @@ def test_every_memo_entry_is_its_fresh_kid(budget):
     assert assert_memos_exact(levels, budget) > 100
 
 
+@pytest.mark.parametrize("budget", list(BY_CLASS))
+def test_every_held_answer_is_the_cold_answer(budget):
+    # an atlas leaves on each level an answer for every target the levels
+    # below leave unsolved: the cold search's network where that solves
+    # the target with the level's gate count, and None where it solves
+    # it with another count or not at all
+    cold = {}
+    for t in range(256):
+        synth._LEVELS.clear()
+        cold[t] = synthesize(TruthTable.from_int(3, t), budget)
+
+    def gates(t):
+        if cold[t] is None:
+            return float("inf")
+        c = cost(cold[t])
+        return c.maj3_count + c.maj5_count
+
+    synth._LEVELS.clear()
+    synthesize_all_3var(budget)
+    [levels] = synth._LEVELS.values()
+    for rows in levels:
+        assert rows.answers.keys() == {t for t in range(256)
+                                       if gates(t) >= rows.level}
+        for t, net in rows.answers.items():
+            if gates(t) == rows.level:
+                assert to_text(net) == to_text(cold[t])
+            else:
+                assert net is None
+
+
+def counted_scans(monkeypatch):
+    """The (level, targets) of each _scan call from now on."""
+    scan, scans = _Searcher._scan, []
+
+    def counted(self, rows, unsolved):
+        scans.append((rows.level, sorted(unsolved)))
+        return scan(self, rows, unsolved)
+
+    monkeypatch.setattr(_Searcher, "_scan", counted)
+    return scans
+
+
+def test_a_repeated_target_is_not_scanned_again(monkeypatch):
+    t = BY_CLASS[SearchBudget()][3]
+    spec = TruthTable.from_int(3, t)
+    synth._LEVELS.clear()
+    scans = counted_scans(monkeypatch)
+    first = synthesize(spec)
+    assert scans == [(1, [t]), (2, [t]), (3, [t])]
+    scans.clear()
+    assert synthesize(spec) is first
+    assert scans == []
+
+
+def test_fewer_max_gates_read_the_answers_of_a_default_call(monkeypatch):
+    # --max-gates 2 stops at level 2, whose answers a default call on the
+    # same target left: None on both, so not found without a scan
+    targets = class_targets(SearchBudget(), 3)
+    synth._LEVELS.clear()
+    for t in targets:
+        synthesize(TruthTable.from_int(3, t))
+    scans = counted_scans(monkeypatch)
+    assert [synthesize(TruthTable.from_int(3, t), SearchBudget(max_gates=2))
+            for t in targets] == [None] * len(targets)
+    assert scans == []
+
+
 @pytest.mark.parametrize("allow_maj5, depth", [(True, 3), (False, 4)])
 def test_a_boundless_budget_ends_within_its_work_cap(allow_maj5, depth):
     # with three variables every function has a network of at most four
@@ -921,6 +988,8 @@ def test_every_recorded_tie_settles_to_the_least_text(monkeypatch):
     gated = 0
     for budget in (SearchBudget(), SearchBudget(max_gates=2),
                    SearchBudget(4, 4, False)):
+        # held levels would answer from their memos and settle no tie
+        synth._LEVELS.clear()
         gated += sum(e.network is not None and e.cost.levels > 0
                      for e in synthesize_all_3var(budget))
     # one tie per target a gate solves, most of them more than one chain

@@ -191,7 +191,9 @@ def test_arbitrary_minterm_text_parses_or_points_at_its_break(text):
 def test_format_minterms_sorted():
     assert format_minterms({5, 1, 3}) == "sum(1,3,5)"
     assert format_minterms(set()) == "sum()"
-    for bad in (5, ["a", 1]):
+    # an element is a minterm as TruthTable.from_minterms takes one
+    assert format_minterms([True, 2]) == "sum(1,2)"
+    for bad in (5, ["a", 1], ["a", "b"], [1.5, 2]):
         with pytest.raises(ValueError) as raised:
             format_minterms(bad)
         assert str(raised.value) == (

@@ -15,16 +15,18 @@ enough calls for about BATCH_MS of the slower side (`calls_for`), the
 same k for both.  Each call is timed on its own, and a batch reads the
 mean.  A cold case clears its side's level cache before each call,
 outside the timed span; a warm case makes its call once, untimed,
-before each batch.  The cases:
+before each batch, and a first-visit case then also empties every held
+level's answer memo (`_Rows.answers`) before each call, outside the
+timed span, so that its targets are scanned again.  The cases:
 
 - `synthesize` on table 66, warm and cold, and on table 24, warm;
 - table 180 under `SearchBudget(5, 5, False)`, cold;
 - the default atlas (`synthesize_all_3var`), cold;
 - `synthesize` on every target of class 0 (the constants and literals,
   which no gate makes), of class 1, of class 2 and of class 3 (the
-  tie-heavy path), warm, and on every target of class 3 under
-  `--max-gates 2` (the not-found path), warm; a target's class is its
-  minimum gate count under the default budget, read from
+  tie-heavy path), warm and first visit, and on every target of class
+  3 under `--max-gates 2` (the not-found path), warm; a target's class
+  is its minimum gate count under the default budget, read from
   `perfbench/ref_counts.json` (`class_targets`);
 - `cli.main` on `synth "sum(1,6)" --format records`, warm, on
   `synth <target> --format records` for each of the 120 class-2 targets
@@ -119,9 +121,9 @@ def class_targets() -> dict[int, list[int]]:
 
 
 def cases(q, argvs) -> dict:
-    """Case name -> (warm, call) on package q, `argvs` being
-    check_argvs(); a cold case (warm False) clears the level cache
-    before each call."""
+    """Case name -> (warm, call) or (warm, call, reset) on package q,
+    `argvs` being check_argvs(); a cold case (warm False) clears the
+    level cache before each call, and a reset runs before each call."""
     synth, table = q.synth, q.truthtable.TruthTable.from_int
     cellsim, render = q.cellsim, q.cli.render_records
     classes = {c: [table(3, t) for t in targets]
@@ -132,6 +134,12 @@ def cases(q, argvs) -> dict:
 
     def synth_class(c, budget=None):
         return lambda: [synth.synthesize(spec, budget) for spec in classes[c]]
+
+    def forget_answers():
+        # a tree whose levels keep no answers has none to empty
+        for levels in synth._LEVELS.values():
+            for rows in levels:
+                getattr(rows, "answers", {}).clear()
 
     def run(argv):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -175,6 +183,7 @@ def cases(q, argvs) -> dict:
         "synth class 1 warm": (True, synth_class(1)),
         "synth class 2 warm": (True, synth_class(2)),
         "synth class 3 warm": (True, synth_class(3)),
+        "synth class 3 first visit": (True, synth_class(3), forget_answers),
         "synth class 3 --max-gates 2 warm": (
             True, synth_class(3, synth.SearchBudget(max_gates=2))),
         "cli synth sum(1,6)": (True, lambda: cli("synth", "sum(1,6)")),
@@ -205,9 +214,10 @@ def calls_for(first_ms: float) -> int:
     return max(1, min(MAX_CALLS, math.ceil(BATCH_MS / first_ms)))
 
 
-def time_batch(q, warm: bool, call, k: int) -> float:
+def time_batch(q, warm: bool, call, k: int, reset=None) -> float:
     """Mean ms per call over k timed calls, after the warm-up call or
-    with the level cache cleared before each call."""
+    with the level cache cleared before each call, and after reset(),
+    if given, before each call."""
     if warm:
         call()
     gc.collect()
@@ -215,6 +225,8 @@ def time_batch(q, warm: bool, call, k: int) -> float:
     for _ in range(k):
         if not warm:
             q.synth._LEVELS.clear()
+        if reset is not None:
+            reset()
         start = time.perf_counter()
         call()
         total += time.perf_counter() - start
@@ -249,8 +261,12 @@ def main(argv=None):
              "change": load_tree(CHANGE, "qcamaj_change")}
     argvs = check_argvs()
     plans = {side: cases(q, argvs) for side, q in sides.items()}
-    calls = {case: calls_for(max(time_batch(q, *plans[side][case], 1)
-                                 for side, q in sides.items()))
+
+    def time_case(side, case, k):
+        warm, call, *reset = plans[side][case]
+        return time_batch(sides[side], warm, call, k, *reset)
+
+    calls = {case: calls_for(max(time_case(side, case, 1) for side in sides))
              for case in plans["change"]}
     print("calls per batch: " + ", ".join(
         f"{case} {k}" for case, k in calls.items()), flush=True)
@@ -258,9 +274,7 @@ def main(argv=None):
     for n in range(1, args.rounds + 1):
         order = ("parent", "change") if n % 2 else ("change", "parent")
         for case, rounds in times.items():
-            ms = {side: time_batch(sides[side], *plans[side][case],
-                                   calls[case])
-                  for side in order}
+            ms = {side: time_case(side, case, calls[case]) for side in order}
             rounds.append(ms)
         print(f"round {n}: " + ", ".join(
             f"{case} {r[-1]['parent']:.2f}/{r[-1]['change']:.2f}"
