@@ -109,33 +109,34 @@ def test_the_parse_case_reads_one_check_requests_rounds_verify_texts(
 
 def test_a_cold_batch_clears_the_cache_before_each_call():
     levels = {}
-    q = types.SimpleNamespace(synth=types.SimpleNamespace(_LEVELS=levels))
     seen = []
 
     def call():
         seen.append(len(levels))
         levels[len(levels)] = "level"
 
-    assert layer_pairs.time_batch(q, False, call, 3) >= 0.0
-    assert seen == [0, 0, 0]
+    # one untimed call, then each timed call after the cache is cleared
+    assert layer_pairs.time_batch(call, levels.clear, 3) >= 0.0
+    assert seen == [0, 0, 0, 0]
     # a warm batch makes one untimed call first and clears nothing
     seen.clear()
-    layer_pairs.time_batch(q, True, call, 3)
+    layer_pairs.time_batch(call, None, 3)
     assert seen == [1, 2, 3, 4]
+    plan = layer_pairs.cases(qcamaj, [])
+    assert plan["synth 66 cold"][1] == qcamaj.synth._LEVELS.clear
+    assert plan["synth 66 warm"][1] is None
 
 
 def test_a_reset_runs_before_each_timed_call():
-    q = types.SimpleNamespace(synth=types.SimpleNamespace(_LEVELS={}))
     seen = []
-    layer_pairs.time_batch(q, True, lambda: seen.append("call"), 2,
-                           lambda: seen.append("reset"))
+    layer_pairs.time_batch(lambda: seen.append("call"),
+                           lambda: seen.append("reset"), 2)
     assert seen == ["call", "reset", "call", "reset", "call"]
 
 
 def test_the_first_visit_case_scans_class_3_again(monkeypatch):
     plan = layer_pairs.cases(qcamaj, [])
-    warm, call, reset = plan["synth class 3 first visit"]
-    assert warm and plan["synth class 3 warm"][0]
+    call, reset = plan["synth class 3 first visit"]
     qcamaj.synth._LEVELS.clear()
     call()
     [levels] = qcamaj.synth._LEVELS.values()
@@ -166,22 +167,22 @@ def test_the_cli_class_2_case_asks_synth_for_each_class_2_target(
     seen = []
     monkeypatch.setattr(qcamaj.cli, "main",
                         lambda argv: seen.append(argv) or 0)
-    warm, call = plan["cli synth class 2"]
-    assert warm and call() == [0] * 120
+    call, reset = plan["cli synth class 2"]
+    assert reset is None and call() == [0] * 120
     assert seen == [
         ["synth", format_minterms(TruthTable.from_int(3, t).minterms()),
          "--format", "records"]
         for t in layer_pairs.class_targets()[2]]
     # class 0: the constants and literals, each answered with no gate
-    warm, call = plan["synth class 0 warm"]
+    call, reset = plan["synth class 0 warm"]
     nets = call()
-    assert warm and [truth_table(net).to_int() for net in nets] == (
+    assert reset is None and [truth_table(net).to_int() for net in nets] == (
         layer_pairs.class_targets()[0])
     assert all(cost(net).levels == 0 for net in nets)
     # class 3: the tie-heavy path, each target answered with three gates
-    warm, call = plan["synth class 3 warm"]
+    call, reset = plan["synth class 3 warm"]
     nets = call()
-    assert warm and [truth_table(net).to_int() for net in nets] == (
+    assert reset is None and [truth_table(net).to_int() for net in nets] == (
         layer_pairs.class_targets()[3])
     assert all(cost(net).maj3_count + cost(net).maj5_count == 3
                for net in nets)
@@ -201,10 +202,10 @@ def test_the_check_requests_cli_cases_run_verify_and_audit_tables(
     seen = []
     monkeypatch.setattr(qcamaj.cli, "main",
                         lambda argv: seen.append(argv) or 0)
-    warm, call = plan["cli verify check-requests"]
-    assert warm and call() == [0] * 12
+    call, reset = plan["cli verify check-requests"]
+    assert reset is None and call() == [0] * 12
     assert seen == argvs
     seen.clear()
-    warm, call = plan["cli audit-tables"]
-    assert warm and call() == 0
+    call, reset = plan["cli audit-tables"]
+    assert reset is None and call() == 0
     assert seen == [["audit-tables", "--format", "records"]]

@@ -416,13 +416,16 @@ def assert_memos_exact(levels, budget):
 def test_full_memos_answer_as_a_cold_search(monkeypatch):
     # an atlas scans every level for every target it has not solved, so
     # it offers each kid that a class-3 target's own scans offer; a warm
-    # call after it builds no chain and answers as a cold search does
+    # call after it, its answers emptied so that it scans again, builds
+    # no chain and answers as a cold search does
     for budget in (SearchBudget(), SearchBudget(5, 5, False)):
         targets = class_targets(budget, 3)
         synth._LEVELS.clear()
         synthesize_all_3var(budget)
         [levels] = synth._LEVELS.values()
         assert assert_memos_exact(levels, budget) > 1000
+        for rows in levels:
+            rows.answers.clear()
         child, built = _Searcher._child, []
         with monkeypatch.context() as m:
             m.setattr(_Searcher, "_child",
@@ -931,7 +934,10 @@ def test_every_recorded_candidate_has_its_key(monkeypatch):
             recorded.append(target)
 
     monkeypatch.setattr(_Searcher, "_offer", certified)
+    # fresh levels, so that no answer an earlier call left spares a scan
+    synth._LEVELS.clear()
     synthesize_all_3var()
+    synth._LEVELS.clear()
     synthesize_all_3var(SearchBudget(4, 4, False))
     base = _Searcher(3, SearchBudget()).base_tables
     assert set(recorded) == set(range(256)).difference(base)

@@ -13,11 +13,11 @@ rounds run the parent first, even rounds the change.  k is set once per
 case, before the rounds, from one untimed first call on each side:
 enough calls for about BATCH_MS of the slower side (`calls_for`), the
 same k for both.  Each call is timed on its own, and a batch reads the
-mean.  A cold case clears its side's level cache before each call,
-outside the timed span; a warm case makes its call once, untimed,
-before each batch, and a first-visit case then also empties every held
-level's answer memo (`_Rows.answers`) before each call, outside the
-timed span, so that its targets are scanned again.  The cases:
+mean.  A batch makes its call once, untimed, first; then a warm case
+times its calls as they come, while a case with a reset runs it before
+each call, outside the timed span: a cold case clears its side's level
+cache, and a first-visit case empties every held level's answer memo
+(`_Rows.answers`), so that its targets are scanned again.  The cases:
 
 - `synthesize` on table 66, warm and cold, and on table 24, warm;
 - table 180 under `SearchBudget(5, 5, False)`, cold;
@@ -121,9 +121,9 @@ def class_targets() -> dict[int, list[int]]:
 
 
 def cases(q, argvs) -> dict:
-    """Case name -> (warm, call) or (warm, call, reset) on package q,
-    `argvs` being check_argvs(); a cold case (warm False) clears the
-    level cache before each call, and a reset runs before each call."""
+    """Case name -> (call, reset) on package q, `argvs` being
+    check_argvs(); reset, None for a warm case, runs before each timed
+    call: a cold case's clears the level cache."""
     synth, table = q.synth, q.truthtable.TruthTable.from_int
     cellsim, render = q.cellsim, q.cli.render_records
     classes = {c: [table(3, t) for t in targets]
@@ -134,6 +134,8 @@ def cases(q, argvs) -> dict:
 
     def synth_class(c, budget=None):
         return lambda: [synth.synthesize(spec, budget) for spec in classes[c]]
+
+    cold = synth._LEVELS.clear
 
     def forget_answers():
         # a tree whose levels keep no answers has none to empty
@@ -173,37 +175,37 @@ def cases(q, argvs) -> dict:
                "sim wire 1000": report("sim", "wire", "1", "--length",
                                        "1000")}
     return {
-        "synth 66 warm": (True, lambda: synth.synthesize(table(3, 66))),
-        "synth 66 cold": (False, lambda: synth.synthesize(table(3, 66))),
-        "synth 24 warm": (True, lambda: synth.synthesize(table(3, 24))),
-        "synth 180 (5, 5, False) cold": (False, lambda: synth.synthesize(
-            table(3, 180), synth.SearchBudget(5, 5, False))),
-        "atlas cold": (False, synth.synthesize_all_3var),
-        "synth class 0 warm": (True, synth_class(0)),
-        "synth class 1 warm": (True, synth_class(1)),
-        "synth class 2 warm": (True, synth_class(2)),
-        "synth class 3 warm": (True, synth_class(3)),
-        "synth class 3 first visit": (True, synth_class(3), forget_answers),
+        "synth 66 warm": (lambda: synth.synthesize(table(3, 66)), None),
+        "synth 66 cold": (lambda: synth.synthesize(table(3, 66)), cold),
+        "synth 24 warm": (lambda: synth.synthesize(table(3, 24)), None),
+        "synth 180 (5, 5, False) cold": (lambda: synth.synthesize(
+            table(3, 180), synth.SearchBudget(5, 5, False)), cold),
+        "atlas cold": (synth.synthesize_all_3var, cold),
+        "synth class 0 warm": (synth_class(0), None),
+        "synth class 1 warm": (synth_class(1), None),
+        "synth class 2 warm": (synth_class(2), None),
+        "synth class 3 warm": (synth_class(3), None),
+        "synth class 3 first visit": (synth_class(3), forget_answers),
         "synth class 3 --max-gates 2 warm": (
-            True, synth_class(3, synth.SearchBudget(max_gates=2))),
-        "cli synth sum(1,6)": (True, lambda: cli("synth", "sum(1,6)")),
-        "cli synth class 2": (True, lambda: [cli(*argv)
-                                             for argv in class_2_argvs]),
-        "cli verify check-requests": (True, lambda: [run(argv)
-                                                     for argv in argvs]),
-        "cli audit-tables": (True, lambda: cli("audit-tables")),
+            synth_class(3, synth.SearchBudget(max_gates=2)), None),
+        "cli synth sum(1,6)": (lambda: cli("synth", "sum(1,6)"), None),
+        "cli synth class 2": (
+            lambda: [cli(*argv) for argv in class_2_argvs], None),
+        "cli verify check-requests": (
+            lambda: [run(argv) for argv in argvs], None),
+        "cli audit-tables": (lambda: cli("audit-tables"), None),
         "cli sim wire 1 --length 1000": (
-            True, lambda: cli("sim", "wire", "1", "--length", "1000")),
-        **{f"CellGrid {name}": (True, lambda g=g: cellsim.CellGrid(g.cells))
+            lambda: cli("sim", "wire", "1", "--length", "1000"), None),
+        **{f"CellGrid {name}": (lambda g=g: cellsim.CellGrid(g.cells), None)
            for name, g in grids.items()},
-        "relax wire 1000": (True, lambda: cellsim.relax(grids["wire 1000"])),
-        **{f"render_records {name}": (True, lambda r=r: render(r))
+        "relax wire 1000": (lambda: cellsim.relax(grids["wire 1000"]), None),
+        **{f"render_records {name}": (lambda r=r: render(r), None)
            for name, r in reports.items()},
-        "verify 3 vars": (True, verify("M5(M(A,B,C)',M5(A,A,B,C,1),A,B,C)",
-                                       list("ABC"))),
-        "verify 8 vars": (True, verify(text8, list("ABCDEFGH"))),
-        "parse_expr check-requests": (True, lambda: [
-            q.expr.parse_expr(text, names) for text, names in texts]),
+        "verify 3 vars": (verify("M5(M(A,B,C)',M5(A,A,B,C,1),A,B,C)",
+                                 list("ABC")), None),
+        "verify 8 vars": (verify(text8, list("ABCDEFGH")), None),
+        "parse_expr check-requests": (lambda: [
+            q.expr.parse_expr(text, names) for text, names in texts], None),
     }
 
 
@@ -214,17 +216,13 @@ def calls_for(first_ms: float) -> int:
     return max(1, min(MAX_CALLS, math.ceil(BATCH_MS / first_ms)))
 
 
-def time_batch(q, warm: bool, call, k: int, reset=None) -> float:
-    """Mean ms per call over k timed calls, after the warm-up call or
-    with the level cache cleared before each call, and after reset(),
-    if given, before each call."""
-    if warm:
-        call()
+def time_batch(call, reset, k: int) -> float:
+    """Mean ms per call over k timed calls, after one untimed call, with
+    reset(), unless it is None, run before each timed call."""
+    call()
     gc.collect()
     total = 0.0
     for _ in range(k):
-        if not warm:
-            q.synth._LEVELS.clear()
         if reset is not None:
             reset()
         start = time.perf_counter()
@@ -261,12 +259,8 @@ def main(argv=None):
              "change": load_tree(CHANGE, "qcamaj_change")}
     argvs = check_argvs()
     plans = {side: cases(q, argvs) for side, q in sides.items()}
-
-    def time_case(side, case, k):
-        warm, call, *reset = plans[side][case]
-        return time_batch(sides[side], warm, call, k, *reset)
-
-    calls = {case: calls_for(max(time_case(side, case, 1) for side in sides))
+    calls = {case: calls_for(max(time_batch(*plans[side][case], 1)
+                                 for side in sides))
              for case in plans["change"]}
     print("calls per batch: " + ", ".join(
         f"{case} {k}" for case, k in calls.items()), flush=True)
@@ -274,7 +268,8 @@ def main(argv=None):
     for n in range(1, args.rounds + 1):
         order = ("parent", "change") if n % 2 else ("change", "parent")
         for case, rounds in times.items():
-            ms = {side: time_case(side, case, calls[case]) for side in order}
+            ms = {side: time_batch(*plans[side][case], calls[case])
+                  for side in order}
             rounds.append(ms)
         print(f"round {n}: " + ", ".join(
             f"{case} {r[-1]['parent']:.2f}/{r[-1]['change']:.2f}"
