@@ -250,8 +250,14 @@ class _Parser(argparse.ArgumentParser):
         super().error(_bounded(message))
 
 
-@functools.cache    # built on first use, so import stays cheap
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser."""
+    return _parsers()[0]
+
+
+@functools.cache    # built on first use, so import stays cheap
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each command's name -> its subparser."""
     parser = _Parser(
         prog="qcamaj",
         description="Majority-logic synthesis, verification, and cell-level "
@@ -326,12 +332,35 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="readout threshold (default 0.5)")
     common(p)
     p.set_defaults(func=cmd_sim)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_build_parser().parse_args(argv), by one parse where it can.
+
+    When argv[0] names a command, the top-level parser's command
+    positional (nargs=PARSER, pattern A[-AO]*) hands every word after
+    it, unchanged, to that command's subparser.  Beyond that parse, the
+    top-level one only sets `command`, fails with its own usage on the
+    words the subparser leaves over, and, as it sorts the words into
+    options and arguments before any of them is parsed, fails on a word
+    before "--" that begins "--=", an abbreviation of both --help and
+    --version to Python 3.10 to 3.13.0.  So the subparser alone parses
+    argv[1:], unless a word begins "--=" or words are left over; then,
+    and when argv[0] names no command, the full parse runs.
+    """
+    sub = _parsers()[1].get(argv[0]) if argv else None
+    if sub is not None and not any(w.startswith("--=") for w in argv):
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return int(e.code or 0)
     start = time.perf_counter()

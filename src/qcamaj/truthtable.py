@@ -237,8 +237,10 @@ def _short_indices(text: str, parts: list[str]) -> list[str]:
 def format_minterms(minterms: Iterable[int]) -> str:
     """Render a minterm set in the ``sum(...)`` text form, ascending."""
     try:    # a non-int fails the sort or operator.index, as a bool passes
-        return "sum(" + ",".join(
-            map(str, map(operator.index, sorted(set(minterms))))) + ")"
+        ms = list(map(operator.index, sorted(set(minterms))))
     except TypeError:
         raise ValueError(f"minterms must be an iterable of ints, got "
                          f"{minterms!r}") from None
+    if ms and ms[0] < 0:    # text that parse_minterm_spec refuses
+        raise ValueError(f"minterms must not be negative, got {minterms!r}")
+    return "sum(" + ",".join(map(str, ms)) + ")"

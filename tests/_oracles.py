@@ -17,6 +17,8 @@ the output cell it does not return is checked by role.
 clocked_relax settles the free cells zone by zone outward from the
 drivers before the sweep, so its answer does not hang on the cell list
 order that relax uses as its clock.
+format_reference writes a network's expression text by recursion over
+the nodes, as the second opinion on format_expr's text.
 """
 
 import itertools
@@ -337,6 +339,23 @@ def clocked_relax(grid, order=None, tol: float = 1e-6,
     residuals = settle(order)
     return RelaxResult(tuple(p), len(residuals), tuple(residuals),
                        grid.output_index)
+
+
+def format_reference(net, names) -> str:
+    """The expression text of net's output under variable `names`,
+    written recursively: every reference to a subterm spells it out."""
+    def text(i):
+        kind, args = net.nodes[i]
+        if kind == "input":
+            return names[args[0]]
+        if kind == "const":
+            return str(args[0])
+        if kind == "not":
+            return text(args[0]) + "'"
+        opening = {"maj3": "M(", "maj5": "M5("}[kind]
+        return opening + ",".join(text(c) for c in args) + ")"
+
+    return text(net.output)
 
 
 def minterms_of_expr(text, names):

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, both output formats, scripting use."""
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import time
 import pytest
 from hypothesis import example, given, strategies as st
 
+import qcamaj.cli as cli
 from qcamaj.cli import (_MAX_ERROR_CHARS, RunReport, _bounded, main,
                         render_records)
 from qcamaj.errors import ParseError
@@ -387,3 +389,70 @@ def test_a_request_checks_its_names_once(monkeypatch):
     # order note; audit-tables: its order note and one parse per form
     assert checks == {"synth": 2, "verify": 2, "audit-tables": 13,
                       "adders": 9}
+
+
+# argvs that a command's own parse must answer as the full parse does:
+# each command with valid arguments, help, --version before and after the
+# command, an abbreviated option, "--", a word beginning "--=", a bad int
+# and a bad choice, an extra positional, a missing one, no command, an
+# unknown one and an option before one
+PARSE_ARGVS = [
+    ["verify", "M(A,B,C)", "sum(3,5,6,7)"],
+    ["verify", "M(X,Y,Z)'", "sum(0)", "--order", "X,Y,Z", "--format",
+     "records"],
+    ["synth", "sum(1,6)"],
+    ["synth", "sum(1,6)", "--max-gates", "2", "--max-levels", "2",
+     "--no-maj5", "--order", "X,Y,Z", "--format", "records"],
+    ["atlas", "--max-gates", "1", "--max-levels", "1"],
+    ["audit-tables", "--format", "records"],
+    ["adders"],
+    ["sim", "maj3", "101", "--format", "records"],
+    ["sim", "wire", "1", "--length", "3", "--tol", "1e-3", "--max-iter",
+     "50", "--threshold", "0.25"],
+    ["synth", "-h"], ["sim", "--help"], ["-h"], ["--help"],
+    ["--version"], ["synth", "sum(1,6)", "--version"],
+    ["synth", "sum(1,6)", "--vers"], ["adders", "--version"],
+    ["synth", "sum(1,6)", "--form", "records"],
+    ["synth", "sum(1,6)", "--format=records", "--max-g=2"],
+    ["synth", "--", "sum(1,6)"], ["verify", "--", "M(A,B,C)", "sum(7)"],
+    ["synth", "sum(1,6)", "--", "--format"], ["audit-tables", "--"],
+    ["synth", "sum(1,6)", "--=x"], ["synth", "-h", "--=x"],
+    ["synth", "sum(1,6)", "--", "--=x"],
+    ["synth", "sum(1,6)", "--max-gates", "two"],
+    ["sim", "wire", "1", "--length", "1.5"],
+    ["synth", "sum(1,6)", "--format", "json"], ["sim", "nand", "10"],
+    ["synth", "sum(1,6)", "extra"], ["adders", "extra", "--format"],
+    ["synth"], ["sim", "maj3"],
+    [], ["frobnicate"], ["Synth", "sum(1,6)"],
+    ["--format", "records", "synth", "sum(1,6)"], ["--vers", "adders"],
+]
+
+
+def test_command_parser_gives_what_the_full_parse_gives(capsys, monkeypatch):
+    def full(argv):
+        return cli._build_parser().parse_args(argv)
+
+    def parsed(parse, argv):
+        try:
+            return vars(parse(argv))
+        except SystemExit as e:
+            return e.code
+
+    def request(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, re.sub(r"elapsed_ms=\S+|\[\d+\.\d ms\]", "", out), err
+
+    valid = 0
+    for argv in PARSE_ARGVS:
+        given_args = parsed(cli._parse, argv)
+        full_args = parsed(full, argv)
+        capsys.readouterr()
+        assert given_args == full_args, argv
+        valid += isinstance(full_args, dict)
+        ours = request(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", full)
+            assert request(argv) == ours, argv
+    # the valid argvs: each command's, the abbreviations and the "--"s
+    assert valid == 13

@@ -173,6 +173,14 @@ def test_the_cli_class_2_case_asks_synth_for_each_class_2_target(
         ["synth", format_minterms(TruthTable.from_int(3, t).minterms()),
          "--format", "records"]
         for t in layer_pairs.class_targets()[2]]
+    # the heavy tag's shape: each class-3 target, each answered
+    seen.clear()
+    call, reset = plan["cli synth class 3 warm"]
+    assert reset is None and call() == [0] * 32
+    assert seen == [
+        ["synth", format_minterms(TruthTable.from_int(3, t).minterms()),
+         "--format", "records"]
+        for t in layer_pairs.class_targets()[3]]
     # class 0: the constants and literals, each answered with no gate
     call, reset = plan["synth class 0 warm"]
     nets = call()
@@ -193,6 +201,9 @@ def test_the_check_requests_cli_cases_run_verify_and_audit_tables(
     monkeypatch.setattr(sys, "path", list(sys.path))
     before = set(sys.modules)
     argvs = layer_pairs.check_argvs()
+    import workloads
+    sim_gate = [r.argv for r in workloads.CheckPlan(1, None).round(0)
+                if r.tag == "sim-gate"]
     for name in (set(sys.modules) - before) & {"workloads", "reference"}:
         del sys.modules[name]
     assert len(argvs) == 12
@@ -209,3 +220,17 @@ def test_the_check_requests_cli_cases_run_verify_and_audit_tables(
     call, reset = plan["cli audit-tables"]
     assert reset is None and call() == 0
     assert seen == [["audit-tables", "--format", "records"]]
+    # every gate row the workload asks for, in the tool's own order
+    seen.clear()
+    call, reset = plan["cli sim gate"]
+    assert reset is None and call() == [0] * 44
+    assert sorted(seen) == sorted(sim_gate)
+    assert len(set(map(tuple, seen))) == 44
+
+
+def test_the_format_expr_case_writes_every_atlas_answer():
+    plan = layer_pairs.cases(qcamaj, [])
+    call, reset = plan["format_expr atlas"]
+    entries = qcamaj.synth.synthesize_all_3var()
+    assert reset is None and call() == [e.expression for e in entries]
+    assert len(entries) == 256

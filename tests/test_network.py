@@ -465,6 +465,23 @@ def test_names_are_accepted_exactly_when_the_text_reads_them_back(net, names):
     assert truth_table(parse_expr(text, names)) == truth_table(net)
 
 
+# three distinct names of one to four ASCII characters
+ASCII_NAMES = st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}",
+                                     fullmatch=True),
+                       min_size=3, max_size=3, unique=True)
+
+
+@given(random_networks(), ASCII_NAMES)
+# a shared gate, a not over a not, over a gate and over a constant
+@example(parse_expr("M(M(A,B,C)'',M(A,B,C),1')", NAMES), list(NAMES))
+@example(parse_expr("M5(A'',0',M(B,C,1)',M5(A,B,C,A',B'),C)'", NAMES),
+         ["x_1", "Cin", "_"])
+@example(parse_expr("A''", NAMES), ["long", "B", "C"])
+def test_format_expr_writes_the_recursive_writers_text(net, names):
+    assert format_expr(net, names) == _oracles.format_reference(net, names)
+    assert format_expr(net) == _oracles.format_reference(net, NAMES)
+
+
 def test_format_expr_refuses_names_parse_expr_refuses():
     net = parse_expr("M(A,B,C)", NAMES)
     for names in (["X", "X", "Y"], ["0", "B", "C"], ["A'", "B", "C"],

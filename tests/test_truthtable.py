@@ -198,6 +198,12 @@ def test_format_minterms_sorted():
             format_minterms(bad)
         assert str(raised.value) == (
             f"minterms must be an iterable of ints, got {bad!r}")
+    # a negative index, which no sum(...) text can hold
+    for bad in ([-1, 300], {-5}, [False, -1]):
+        with pytest.raises(ValueError) as raised:
+            format_minterms(bad)
+        assert str(raised.value) == (
+            f"minterms must not be negative, got {bad!r}")
 
 
 # (n_vars, minterm set) pairs over every supported width

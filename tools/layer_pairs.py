@@ -31,14 +31,18 @@ cache, and a first-visit case empties every held level's answer memo
 - `cli.main` on `synth "sum(1,6)" --format records`, warm, on
   `synth <target> --format records` for each of the 120 class-2 targets
   in turn, warm, the in-process shape of a synth-requests median
-  request, on the 12 `verify` argvs of round CHECK_ROUND of the
-  check-requests workload under seed CHECK_SEED in turn, on
-  `audit-tables --format records`, and on `sim wire 1 --length 1000
+  request, and for each of the 32 class-3 targets in turn, warm, the
+  shape of its heavy request, on the 12 `verify` argvs of round
+  CHECK_ROUND of the check-requests workload under seed CHECK_SEED in
+  turn, on `audit-tables --format records`, on `sim <gate> <bits>
+  --format records` for each of the 44 gate rows in turn, the shape of
+  a check-requests median request, and on `sim wire 1 --length 1000
   --format records`, output discarded;
 - `CellGrid` on the cells of wires of 1,000, 512 and 64 cells and of the
   inverter, maj3 and maj5 gates, and `relax` on the 1,000-cell wire;
 - `render_records` on the reports of the default atlas, `audit-tables`
   and `sim wire 1 --length 1000`;
+- `format_expr` on every network the default atlas answers;
 - `verify` at 3 and 8 variables: `parse_expr`, then `verify` against
   the expression's own table, as the `verify` command does;
 - `parse_expr` on the 12 `verify` texts of round CHECK_ROUND of the
@@ -128,8 +132,12 @@ def cases(q, argvs) -> dict:
     cellsim, render = q.cellsim, q.cli.render_records
     classes = {c: [table(3, t) for t in targets]
                for c, targets in class_targets().items()}
-    class_2_argvs = [("synth", q.truthtable.format_minterms(spec.minterms()))
-                     for spec in classes[2]]
+    synth_argvs = {c: [("synth", q.truthtable.format_minterms(spec.minterms()))
+                       for spec in classes[c]] for c in (2, 3)}
+    # every row of every gate, as the check-requests workload asks for them
+    sim_gate_argvs = [("sim", gate, format(k, f"0{arity}b"))
+                      for gate, (arity, _) in q.cli._GATES.items()
+                      for k in range(1 << arity)]
     texts = check_texts(argvs)
 
     def synth_class(c, budget=None):
@@ -170,6 +178,8 @@ def cases(q, argvs) -> dict:
              "inverter": cellsim.build_inverter(1.0),
              "maj3": cellsim.build_maj3(1.0, -1.0, 1.0),
              "maj5": cellsim.build_maj5(1.0, -1.0, 1.0, -1.0, 1.0)}
+    answers = [e.network for e in synth.synthesize_all_3var()
+               if e.network is not None]
     reports = {"atlas": report("atlas"),
                "audit-tables": report("audit-tables"),
                "sim wire 1000": report("sim", "wire", "1", "--length",
@@ -190,10 +200,14 @@ def cases(q, argvs) -> dict:
             synth_class(3, synth.SearchBudget(max_gates=2)), None),
         "cli synth sum(1,6)": (lambda: cli("synth", "sum(1,6)"), None),
         "cli synth class 2": (
-            lambda: [cli(*argv) for argv in class_2_argvs], None),
+            lambda: [cli(*argv) for argv in synth_argvs[2]], None),
+        "cli synth class 3 warm": (
+            lambda: [cli(*argv) for argv in synth_argvs[3]], None),
         "cli verify check-requests": (
             lambda: [run(argv) for argv in argvs], None),
         "cli audit-tables": (lambda: cli("audit-tables"), None),
+        "cli sim gate": (
+            lambda: [cli(*argv) for argv in sim_gate_argvs], None),
         "cli sim wire 1 --length 1000": (
             lambda: cli("sim", "wire", "1", "--length", "1000"), None),
         **{f"CellGrid {name}": (lambda g=g: cellsim.CellGrid(g.cells), None)
@@ -201,6 +215,8 @@ def cases(q, argvs) -> dict:
         "relax wire 1000": (lambda: cellsim.relax(grids["wire 1000"]), None),
         **{f"render_records {name}": (lambda r=r: render(r), None)
            for name, r in reports.items()},
+        "format_expr atlas": (
+            lambda: [q.network.format_expr(net) for net in answers], None),
         "verify 3 vars": (verify("M5(M(A,B,C)',M5(A,A,B,C,1),A,B,C)",
                                  list("ABC")), None),
         "verify 8 vars": (verify(text8, list("ABCDEFGH")), None),
