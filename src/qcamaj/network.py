@@ -332,51 +332,41 @@ def format_expr(net: Network, names=None) -> str:
     yields an equivalent function (and re-shares the duplicates).
     """
     names = check_names(names, net.n_vars)
-    # each subterm's text length and its pieces, children first: a leaf's
-    # text, or a leaf's text and "'", or any other node's body reversed
-    # for the writer's stack, runs of text with its leaf children inlined
-    # between the ids of its other children
+    # the text length of each subterm, children first
     size = [0] * len(net.nodes)
-    part: list = [None] * len(net.nodes)
     for i in sorted(reachable(net)):
         kind, args = net.nodes[i]
         if kind == INPUT:
-            part[i] = names[args[0]]
-            size[i] = len(part[i])
+            size[i] = len(names[args[0]])
         elif kind == CONST:
-            part[i] = str(args[0])
             size[i] = 1
         elif kind == NOT:
-            c = args[0]
-            part[i] = part[c] + "'" if part[c].__class__ is str else ["'", c]
-            size[i] = size[c] + 1
+            size[i] = size[args[0]] + 1
         else:   # the opening, the commas and ")"
-            body, run = [], _OPEN[kind]
-            for c in args:
-                if part[c].__class__ is str:
-                    run += part[c] + ","
-                else:
-                    body += (run, c)
-                    run = ","
-            body.append(run[:-1] + ")")
-            body.reverse()
-            part[i] = body
             size[i] = len(_OPEN[kind]) + len(args) + sum(size[c] for c in args)
         if size[i] > MAX_EXPR_CHARS:
             raise CapacityError(
                 f"expression text exceeds {MAX_EXPR_CHARS} characters")
-    # depth first from the output: pop text, expand an id into its body
-    out = part[net.output]
-    if out.__class__ is str:
-        return out
+    # depth first from the output; the stack holds node ids and the
+    # pieces of text that follow them
     pieces: list[str] = []
-    stack = out[:]
+    stack: list = [net.output]
     while stack:
         item = stack.pop()
-        if item.__class__ is str:
+        if isinstance(item, str):
             pieces.append(item)
+            continue
+        kind, args = net.nodes[item]
+        if kind == INPUT:
+            pieces.append(names[args[0]])
+        elif kind == CONST:
+            pieces.append(str(args[0]))
+        elif kind == NOT:
+            stack += ("'", args[0])
         else:
-            stack += part[item]
+            pieces.append(_OPEN[kind])
+            body = [x for c in args for x in (",", c)][1:] + [")"]
+            stack += reversed(body)
     return "".join(pieces)
 
 

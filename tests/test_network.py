@@ -537,3 +537,21 @@ def test_format_expr_memory_follows_the_text():
         tracemalloc.stop()
     assert text == "M(" * 8000 + "A" + ",B,C)" * 8000
     assert peak < 5_000_000
+
+
+def test_format_expr_memory_follows_the_text_of_a_not_chain():
+    # a chain of inverters writes one "'" per level, so its memory is
+    # linear in the depth as for a gate chain
+    b = NetworkBuilder(3)
+    node = b.input(0)
+    for _ in range(20_000):
+        node = b.invert(node)
+    net = b.build(node)
+    tracemalloc.start()
+    try:
+        text = format_expr(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "A" + "'" * 20_000
+    assert peak < 5_000_000
