@@ -250,11 +250,6 @@ class _Parser(argparse.ArgumentParser):
         super().error(_bounded(message))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser."""
-    return _parsers()[0]
-
-
 @functools.cache    # built on first use, so import stays cheap
 def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser, and each command's name -> its subparser."""
@@ -336,7 +331,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """_build_parser().parse_args(argv), by one parse where it can.
+    """_parsers()[0].parse_args(argv), by one parse where it can.
 
     When argv[0] names a command, the top-level parser's command
     positional (nargs=PARSER, pattern A[-AO]*) hands every word after
@@ -355,7 +350,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         if not extras:
             args.command = argv[0]
             return args
-    return _build_parser().parse_args(argv)
+    return _parsers()[0].parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -50,30 +50,23 @@ bitmaps and its rows' depths are built whole.  A chain is complete when
 built, its negated literals from its parent and its growth rows' codes
 from the growth that builds it, and nothing writes to it after; so no
 later call or level writes a cached level's tables or chains, and a
-scan only adds kids to its level's memo and its answers to its memo of
-answers.  The kids memo, _Rows.kids, keeps per parent each child that a
-scan has offered, from the first call that offers it on, so a scan
-reuses the kids earlier calls built.  A kid depends only on its parent
-and code, so threads that build one together store equal kids.  The
-answers memo, _Rows.answers, maps each target a scan of the level has
-settled to the network it found, or to None where no gate of the level
-makes the target; a call scans a level only for the unsolved targets
-it holds no answer for, so a repeated target costs one lookup per
-level, under any max_gates and for an atlas and single calls alike.
-That is exact: the scan settles each target on its own (its
-candidates, its ties and their least text do not depend on the other
-targets), and a level depends only on its key.  A Network is
-immutable, so every call may get the same one, and threads that scan
-one target together store equal answers.  By tracemalloc, operand
-tuples included, the held levels take about 1.3 MB for the default
-budget and 4.5 MB for SearchBudget(5, 5, False) as built, and 3.1 MB
-and 8.7 MB once an atlas has filled their kids memos; the atlas's
-answers add about 180 KB (248, 152 and 32 answers on levels 1 to 3)
-and 230 KB.
+scan only adds its answers to its level's memo.  That memo,
+_Rows.answers, maps each target a scan of the level has settled to the
+network it found, or to None where no gate of the level makes the
+target; a call scans a level only for the unsolved targets it holds no
+answer for, so a repeated target costs one lookup per level, under any
+max_gates and for an atlas and single calls alike.  That is exact: the
+scan settles each target on its own (its candidates, its ties and their
+least text do not depend on the other targets), and a level depends
+only on its key.  A Network is immutable, so every call may get the
+same one, and threads that scan one target together store equal
+answers.
 
 Among the networks with inverters on inputs that realize a target with
 the fewest majority gates, the result minimizes (gate_count, levels,
-inverter_count) and finally the serialized text.  One walk of a chain,
+inverter_count), and then the serialized text among the chains growth
+keeps, the first per (table, depth) profile; so which chain growth
+keeps decides the text as well as the cost.  One walk of a chain,
 _Searcher._walk, numbers its nodes in first-use order and gives each
 node with its to_text line.  The scan keeps every candidate that ties
 the best key and settles the tie line by line: it advances the tied
@@ -202,32 +195,31 @@ class _Rows:
     """One search level: its number, its groups (each parent chain with
     its children's codes) and its row table, every operand tuple
     evaluated for every parent at once, one byte lane per parent.  It is
-    built whole; after that only the search writes to it, adding kids
-    to kids and answers to answers.
+    built whole; after that only the search writes to it, adding answers
+    to answers.
 
     The children of a parent differ only in their newest gate g.  A row
     whose tuple holds g is the Shannon pair (lo, hi): the tuple's table
-    with g at 0 and at 1.  Majority is monotone, so lo is inside hi and a
-    child with table gt makes (gt & hi) | lo.  A row without g is a fixed
-    table t, kept as lo = hi = t so that the same formula gives t.  The
-    scan reads the pairs; at level 1 no tuple holds g, as the chain has
-    no gate yet, so every gate is new and every row scans.  scan_lo and
-    scan_hi hold the scan rows' lanes of the whole level as two ints,
-    row after row, so that fits tests every (row, parent) lane for a
-    target at once; negs holds each row's negated literals as a bitmask,
-    read from _NEGS.  kid_tables
-    holds, per parent, one int whose bit t is set when some child's g has
-    table t, so that the scan probes a parent's codes only for tables
-    that some child has.  depths maps each depths tuple a child can have,
-    its chain's gate depths with g last, to every row's gate depth (a
-    byte each), those depths in the high bytes of 16-bit lanes, and the
-    mask of the lanes whose gate is shallower than max_levels, for
-    growth.  kids holds, per parent, the children the scan has offered,
-    code -> chain; it starts empty and keeps each kid for every later
-    call.  answers maps each target a scan of the level has settled to
-    its network, or to None where no gate of the level makes it; it
-    starts empty, and a call scans only the targets it lacks, so the
-    kids serve a target's first visit and answers every later one.
+    with g at 0 and at 1.  Majority is monotone, so lo is inside hi and
+    a child with table gt makes (gt & hi) | lo.  A row without g is a
+    fixed table t, kept as lo = hi = t so that the same formula gives t.
+    The scan reads the pairs; at level 1 no tuple holds g, as the chain
+    has no gate yet, so every gate is new and every row scans.  _bytes
+    holds the lo and the hi bytes of the level, a lane per parent, row
+    after row (parent reads one parent's lanes).  scan_lo and scan_hi
+    hold the scan rows' lanes of the whole level as two ints, row after
+    row, so that fits tests every (row, parent) lane for a target at
+    once; negs holds each row's negated literals as a bitmask, read from
+    _NEGS.  kid_tables holds, per parent, one int whose bit t is set
+    when some child's g has table t, so that the scan probes a parent's
+    codes only for tables that some child has.  depths maps each depths
+    tuple a child can have, its chain's gate depths with g last, to
+    every row's gate depth (a byte each), those depths in the high bytes
+    of 16-bit lanes, and the mask of the lanes whose gate is shallower
+    than max_levels, for growth.  answers maps each target a scan of the
+    level has settled to its network, or to None where no gate of the
+    level makes it; it starts empty, and a call scans only the targets
+    it lacks.
     """
 
     def __init__(self, searcher, combos, groups, level):
@@ -241,25 +233,23 @@ class _Rows:
             for j in range(level - 2)]
         g = len(lanes)
         at_0, at_1 = lanes + [0], lanes + [searcher.mask * ones]
-        self.lo = [_gate(c, at_0) for c in combos]
-        self.hi = [_gate(c, at_1) if g in c else t
-                   for c, t in zip(combos, self.lo)]
+        lo = [_gate(c, at_0) for c in combos]
+        hi = [_gate(c, at_1) if g in c else t for c, t in zip(combos, lo)]
         self.scan = ([r for r, c in enumerate(combos) if g in c]
                      or range(len(combos)))
         self._bytes = [b"".join(v.to_bytes(np, "little") for v in half)
-                       for half in (self.lo, self.hi)]
+                       for half in (lo, hi)]
         # lane j * np + i: the j-th scan row, parent i
         self.scan_lo, self.scan_hi = (
             int.from_bytes(b"".join(half[r].to_bytes(np, "little")
                                     for r in self.scan), "little")
-            for half in (self.lo, self.hi))
+            for half in (lo, hi))
         self.scan_ones = int.from_bytes(b"\x01" * (np * len(self.scan)),
                                         "little")
         negs = _NEGS[searcher.n]
         self.negs = [negs[c] for c in combos]
         self.kid_tables = [sum(1 << t for t in {c & _BYTE for c in codes})
                            for _, codes in groups]
-        self.kids: list[dict[int, _Chain]] = [{} for _ in groups]
         self.answers: dict[int, Network | None] = {}
         # a child's gates are its parent's, then g at depth 1 to level - 1;
         # level 1's only child is the empty chain
@@ -444,13 +434,12 @@ class _Searcher:
         tables that both agree and are some child's: one AND of the
         parent's table bitmap with the agreeing tables' bitmap, which
         each target builds once per mask m.  A child is built the first
-        time any call offers it, and rows.kids keeps it for later calls.
-        A kid is complete when built and depends only on its parent and
-        code, so threads that race to build it store equal kids."""
+        time the call offers it, and kept for the rest of the call."""
         level, groups = rows.level, rows.groups
         mask, np = self.mask, rows.np
         lo_bytes, hi_bytes = rows._bytes
         depth_codes = [d << 8 for d in range(1, level)]
+        kids: list[dict[int, _Chain]] = [{} for _ in groups]   # code -> kid
         found: dict[int, tuple] = {}    # target -> (key, tied chains)
         for target in unsolved:
             agree: dict[int, int] = {}      # m -> _agreeing(target, m)
@@ -474,11 +463,11 @@ class _Searcher:
                             hits += [t | d for d in depth_codes
                                      if t | d in codes]
                         codes = hits
-                    kids = rows.kids[i]
+                    made = kids[i]
                     for c in codes:
-                        kid = kids.get(c)
+                        kid = made.get(c)
                         if kid is None:
-                            kid = kids[c] = self._child(p, c)
+                            kid = made[c] = self._child(p, c)
                         self._offer(level, kid, rows, r, target, found)
         root = self.nbase + level - 1
         return {t: self._network(self._least(chains, root), root)
@@ -573,6 +562,7 @@ class _Searcher:
         # is an unsolved target: a scan by that gate's level solved it.
         # Growth keeps only gates shallower than max_levels, so a gate the
         # scan offers is at most max_levels deep
+        # (test_no_offered_gate_is_deeper_than_max_levels)
         fan_in = 5 if self.budget.allow_maj5 else 3
         top, width = 0, 1
         for _ in range(self.budget.max_levels):

@@ -431,11 +431,11 @@ PARSE_ARGVS = [
 def test_command_parser_gives_what_the_full_parse_gives(capsys, monkeypatch):
     # _parse's one-parse path holds only while the top-level parser has
     # no option beyond help and version; a new one must revisit _parse
-    assert set(cli._build_parser()._option_string_actions) == {
+    assert set(cli._parsers()[0]._option_string_actions) == {
         "-h", "--help", "--version"}
 
     def full(argv):
-        return cli._build_parser().parse_args(argv)
+        return cli._parsers()[0].parse_args(argv)
 
     def parsed(parse, argv):
         try:

@@ -141,10 +141,9 @@ def test_the_first_visit_case_scans_class_3_again(monkeypatch):
     call()
     [levels] = qcamaj.synth._LEVELS.values()
     assert all(rows.answers for rows in levels)
-    # a reset empties every held level's answers and keeps its kids
+    # a reset empties every held level's answers
     reset()
     assert not any(rows.answers for rows in levels)
-    assert any(rows.kids for rows in levels)
     nets = call()
     assert [truth_table(net).to_int() for net in nets] == (
         layer_pairs.class_targets()[3])

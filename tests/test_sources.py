@@ -1,6 +1,7 @@
 """The sources parse under the oldest Python that pyproject.toml claims,
-the package keeps no private module-level name it never uses, and no
-source imports a name it never uses."""
+the package keeps no private module-level name it never uses nor a
+private class attribute it never reads, and no source imports a name it
+never uses."""
 
 import ast
 import io
@@ -77,3 +78,35 @@ def test_every_imported_name_is_used():
                    for name, line in imported.items() if name not in used]
     assert len(paths) > 20
     assert unused == []
+
+
+def test_every_private_class_attribute_is_read_in_the_package():
+    # state that only tests read is held for nothing: each self.<attr>
+    # that a private class assigns must be read as an attribute by some
+    # function of the package other than the one that assigns it
+    assigned, reads = [], {}
+    for path in sorted(ROOT.glob("src/qcamaj/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Load)):
+                    reads.setdefault(sub.attr, set()).add(node)
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and cls.name.startswith("_")):
+                continue
+            for func in cls.body:
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                assigned += [(f"{path.name} {cls.name}.{sub.attr}", func)
+                             for sub in ast.walk(func)
+                             if isinstance(sub, ast.Attribute)
+                             and isinstance(sub.ctx, ast.Store)
+                             and isinstance(sub.value, ast.Name)
+                             and sub.value.id == "self"]
+    assert len(assigned) > 10
+    assert [name for name, func in assigned
+            if not reads.get(name.rpartition(".")[2], set()) - {func}] == []

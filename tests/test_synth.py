@@ -384,61 +384,25 @@ def cold_texts(targets, budget=None):
     return out
 
 
-def assert_memos_exact(levels, budget):
-    """Every kid a level keeps is its parent's child by its code, as a
-    fresh _child builds it, with its negated literals and no codes, and
-    every parent chain holds its own negated literals; returns how many
-    kids there are."""
-    searcher, negs = _Searcher(3, budget), synth._NEGS[3]
-
-    def negated(chain):
-        return functools.reduce(operator.or_,
-                                [negs[g] for g in chain.gates], 0)
-
-    count = 0
-    for rows in levels:
-        assert len(rows.kids) == len(rows.groups)
-        for (p, codes), kids in zip(rows.groups, rows.kids):
-            assert p.negs == negated(p)
-            # a kid's key is a code of its group, so a memo never holds
-            # more than its level's children
-            assert kids.keys() <= codes.keys()
-            for c, kid in kids.items():
-                fresh = searcher._child(p, c)
-                assert (kid.gates, kid.tables, kid.depths) == (
-                    fresh.gates, fresh.tables, fresh.depths)
-                assert kid.negs == negated(kid)
-                assert kid.codes == b""     # growth never wrote to it
-                count += 1
-    return count
-
-
-def test_full_memos_answer_as_a_cold_search(monkeypatch):
-    # an atlas scans every level for every target it has not solved, so
-    # it offers each kid that a class-3 target's own scans offer; a warm
-    # call after it, its answers emptied so that it scans again, builds
-    # no chain and answers as a cold search does
+def test_full_memos_answer_as_a_cold_search():
+    # a warm call after an atlas, its answers emptied so that it scans
+    # the atlas's levels again, answers as a cold search does
     for budget in (SearchBudget(), SearchBudget(5, 5, False)):
         targets = class_targets(budget, 3)
         synth._LEVELS.clear()
         synthesize_all_3var(budget)
         [levels] = synth._LEVELS.values()
-        assert assert_memos_exact(levels, budget) > 1000
         for rows in levels:
             rows.answers.clear()
-        child, built = _Searcher._child, []
-        with monkeypatch.context() as m:
-            m.setattr(_Searcher, "_child",
-                      lambda self, p, c: built.append(c) or child(self, p, c))
-            warm = [to_text(synthesize(TruthTable.from_int(3, t), budget))
-                    for t in targets]
-        assert built == [] and len(targets) > 8
+        warm = [to_text(synthesize(TruthTable.from_int(3, t), budget))
+                for t in targets]
+        assert len(targets) > 8
         assert warm == cold_texts(targets, budget)
 
 
 def test_threads_that_share_a_memo_get_their_serial_answers():
-    # threads scanning the same levels for different targets build and
-    # store kids at once, more threads than cores
+    # threads scanning the same levels for different targets store
+    # answers at once, more threads than cores
     targets = class_targets(SearchBudget(), 3)[::4]
     assert len(targets) == 8
     want = cold_texts(targets)
@@ -452,22 +416,14 @@ def test_threads_that_share_a_memo_get_their_serial_answers():
                     lambda t: to_text(synthesize(TruthTable.from_int(3, t))),
                     targets, timeout=60))
             assert got == want
+            # every parent chain holds its own negated literals
             [levels] = synth._LEVELS.values()
-            assert assert_memos_exact(levels, SearchBudget()) > 0
+            for rows in levels:
+                for p, _ in rows.groups:
+                    assert p.negs == functools.reduce(
+                        operator.or_, [synth._NEGS[3][g] for g in p.gates], 0)
     finally:
         sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("budget", list(BY_CLASS))
-def test_every_memo_entry_is_its_fresh_kid(budget):
-    synth._LEVELS.clear()
-    for t in class_targets(budget, 3):
-        synthesize(TruthTable.from_int(3, t), budget)
-    [levels] = synth._LEVELS.values()
-    # only a scan that solves a target offers kids, and only level 3
-    # solves a class-3 target
-    assert [any(rows.kids) for rows in levels] == [False, False, True]
-    assert assert_memos_exact(levels, budget) > 100
 
 
 @pytest.mark.parametrize("budget", list(BY_CLASS))
@@ -632,7 +588,8 @@ def test_shannon_pairs_match_the_majority(parents, g):
             lo, hi = lo_bytes[r], hi_bytes[r]
             assert (g & hi) | lo == want, combo
             if r in pair_rows:
-                assert (rows.lo[r] >> 8 * i & 0xFF, rows.hi[r] >> 8 * i
+                at = 8 * (rows.scan.index(r) * rows.np + i)
+                assert (rows.scan_lo >> at & 0xFF, rows.scan_hi >> at
                         & 0xFF) == (lo, hi)
                 assert lo & ~hi == 0
                 shapes.add((len(combo), combo.count(10),
@@ -653,10 +610,12 @@ def test_level_one_rows_are_their_own_pairs():
     rows = _Rows(searcher, combos, [(_Parent(()), {0: None})], 1)
     assert list(rows.scan) == list(range(len(combos)))
     lo_bytes, hi_bytes = rows.parent(0)
+    scan_lo, scan_hi = (v.to_bytes(len(combos), "little")
+                        for v in (rows.scan_lo, rows.scan_hi))
     for r, combo in enumerate(combos):
         want = (maj3 if len(combo) == 3 else maj5)(
             *[searcher.base_tables[x] for x in combo])
-        assert rows.hi[r] == rows.lo[r] == lo_bytes[r] == hi_bytes[r] == want
+        assert scan_hi[r] == scan_lo[r] == lo_bytes[r] == hi_bytes[r] == want
     assert list(rows.depths) == [()]
     assert rows.depths[()][0] == bytes([1] * len(combos))
 
@@ -680,13 +639,15 @@ def test_a_level_is_complete_when_built(level, parents):
     combos = searcher._combos(searcher.nbase + level - 1)
     groups = [(_Parent(p), dict.fromkeys(codes)) for p, codes in parents]
     rows = _Rows(searcher, combos, groups, level)
-    assert all(type(v) is int for v in rows.lo + rows.hi + rows.kid_tables)
+    assert all(type(v) is int
+               for v in [rows.scan_lo, rows.scan_hi, *rows.kid_tables])
+    assert all(type(b) is bytes for b in rows._bytes)
     assert kid_tables_match(groups, rows)
-    built = (list(rows.lo), list(rows.hi), list(rows._bytes),
+    built = (rows.scan_lo, rows.scan_hi, list(rows._bytes),
              list(rows.kid_tables), dict(rows.depths))
     for i in range(len(groups)):
         rows.parent(i)
-    assert (rows.lo, rows.hi, rows._bytes, rows.kid_tables,
+    assert (rows.scan_lo, rows.scan_hi, rows._bytes, rows.kid_tables,
             rows.depths) == built
 
 
@@ -700,7 +661,9 @@ def test_cached_levels_hold_no_placeholder():
         assert len(levels) == depth
         for i, rows in enumerate(levels):
             assert rows.level == i + 1
-            assert None not in rows.lo + rows.hi + rows._bytes
+            assert None not in [*rows._bytes, rows.scan_lo, rows.scan_hi]
+            assert [len(b) for b in rows._bytes] == [
+                rows.np * len(rows.combos)] * 2
             assert kid_tables_match(rows.groups, rows)
         # each child code is decoded apart from the search's own reads:
         # a group lists its codes in the order their rows first make them,
@@ -767,8 +730,9 @@ def test_cached_levels_hold_complete_packed_lanes_and_masks():
 
 
 def test_every_offer_counts_the_chains_inverters(monkeypatch):
-    # the kid's mask, made once by the scan's kids memo, ORed with the
-    # row's, counts the distinct negated literals of the offered chain
+    # the kid's mask, its parent's ORed with its newest gate's when the
+    # scan builds it, ORed with the row's, counts the distinct negated
+    # literals of the offered chain
     offer = _Searcher._offer
     offers = []
 
@@ -789,6 +753,26 @@ def test_every_offer_counts_the_chains_inverters(monkeypatch):
     assert {m.bit_count() for m in offers} == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("budget", [SearchBudget(), SearchBudget(4, 2, True),
+                                    SearchBudget(6, 2, False)])
+def test_no_offered_gate_is_deeper_than_max_levels(budget, monkeypatch):
+    # growth keeps only gates shallower than max_levels, so every gate the
+    # scan offers, the one that would solve a target, is at most
+    # max_levels deep (the claim in run's comment)
+    offer = _Searcher._offer
+    depths = []
+
+    def counted(self, level, kid, rows, r, target, found):
+        depths.append(rows.depths[kid.depths][0][r])
+        offer(self, level, kid, rows, r, target, found)
+
+    monkeypatch.setattr(_Searcher, "_offer", counted)
+    synth._LEVELS.clear()
+    synthesize_all_3var(budget)
+    assert len(depths) > 100
+    assert max(depths) == budget.max_levels
+
+
 def per_row_fits(rows, target):
     """The (r, i) lanes the scan tested row by row before the packed
     test: one int per scan row, one byte lane per parent."""
@@ -797,7 +781,9 @@ def per_row_fits(rows, target):
     many = target * ones
     lanes = []
     for r in rows.scan:
-        miss = ((rows.lo[r] | many) & rows.hi[r]) ^ many
+        lo, hi = (int.from_bytes(half[r * np:(r + 1) * np], "little")
+                  for half in rows._bytes)
+        miss = ((lo | many) & hi) ^ many
         miss |= miss >> 4
         miss |= miss >> 2
         miss |= miss >> 1

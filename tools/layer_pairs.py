@@ -159,7 +159,7 @@ def cases(q, argvs) -> dict:
         return run([*argv, "--format", "records"])
 
     def report(*argv):
-        args = q.cli._build_parser().parse_args(argv)
+        args = q.cli._parsers()[0].parse_args(argv)
         return args.func(args)[0]
 
     def verify(text, names):
